@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
+#include "variation/model.hpp"
 
 namespace obd::la {
 namespace {
@@ -148,6 +151,72 @@ TEST(EigenSymmetric, HandlesSizeOne) {
   const auto eig = eigen_symmetric(a);
   EXPECT_DOUBLE_EQ(eig.values[0], 4.2);
   EXPECT_DOUBLE_EQ(eig.vectors(0, 0), 1.0);
+}
+
+// FNV-1a over the bit patterns of the eigenvalues and then every row of
+// the eigenvectors: two decompositions share a digest only if they agree
+// bit for bit.
+std::uint64_t eigen_digest(const EigenDecomposition& eig) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](const double* p, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &p[i], sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  };
+  mix(eig.values.data(), eig.values.size());
+  for (std::size_t r = 0; r < eig.vectors.rows(); ++r)
+    mix(eig.vectors.row(r), eig.vectors.cols());
+  return h;
+}
+
+// The dense solver's results are pinned to the EISPACK tred2/tql2 order of
+// floating-point operations: a loop-order change may move memory traffic,
+// never a bit. The digests were recorded from the column-order port.
+TEST(EigenSymmetric, GoldenDigestsOfGridCovariances) {
+  const struct {
+    std::size_t side;
+    std::uint64_t digest;
+  } cases[] = {{8, 0x30814b36e483315cull}, {16, 0xd7937310c434e4b0ull}, {25, 0xb383994246ca84e1ull}};
+  for (const auto& c : cases) {
+    const var::GridModel grid(10.0, 10.0, c.side);
+    const Matrix cov = var::build_covariance(grid, var::VariationBudget{}, 0.5);
+    EXPECT_EQ(eigen_digest(eigen_symmetric(cov)), c.digest)
+        << "grid side " << c.side;
+  }
+}
+
+TEST(EigenSymmetric, GoldenDigestOfSplittingBlockDiagonal) {
+  // Blocks {0}, {1..3}, {4..7}: the exact zero subdiagonals split the QL
+  // iteration at e[m], and the tiny scales drive a rotation to r == 0.
+  const double lower[8][8] = {
+      {0x1p-452},
+      {0.0, -0x1p-332},
+      {0.0, -0x1p-315, -0x1p-306},
+      {0.0, 0.0, 0x1p-381, 0x1p-427},
+      {0.0, 0.0, 0.0, 0.0, 0.0},
+      {0.0, 0.0, 0.0, 0.0, 0x1p-711, -0x1p-800},
+      {0.0, 0.0, 0.0, 0.0, 0.0, -0x1p-751, -0x1p-957},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0x1p-188, -0x1p-864}};
+  Matrix a(8, 8);
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t j = 0; j <= i; ++j) a(i, j) = a(j, i) = lower[i][j];
+  EXPECT_EQ(eigen_digest(eigen_symmetric(a)), 0xe9cd472433705bd1ull);
+}
+
+TEST(EigenSymmetric, GoldenDigestsOfSmallestSizes) {
+  Matrix one(1, 1);
+  one(0, 0) = -0.75;
+  EXPECT_EQ(eigen_digest(eigen_symmetric(one)), 0x9b5753b00c83878dull);
+  Matrix two(2, 2);
+  two(0, 0) = 2.0;
+  two(0, 1) = two(1, 0) = 0.5;
+  two(1, 1) = -1.0;
+  EXPECT_EQ(eigen_digest(eigen_symmetric(two)), 0x580261c9534052f1ull);
 }
 
 TEST(Cholesky, FactorsAndSolves) {
