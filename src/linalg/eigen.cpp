@@ -11,69 +11,88 @@ namespace obd::la {
 namespace {
 
 // Householder reduction of a real symmetric matrix to tridiagonal form
-// (EISPACK tred2). On return `a` holds the accumulated orthogonal transform
-// Q, `d` the diagonal, and `e` the subdiagonal (e[0] unused).
+// (EISPACK tred2). On return `a` holds the transpose of the accumulated
+// orthogonal transform Q, `d` the diagonal, and `e` the subdiagonal (e[0]
+// unused).
+//
+// Every element sees the floating-point operations of tred2 in tred2's
+// order; only the loop nesting differs, so that the inner loops walk rows
+// of the row-major matrix instead of stride-n columns. Keeping Q^T instead
+// of Q is what turns the accumulation into row sweeps.
 void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
   const std::size_t n = a.rows();
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
+    double* ai = a.row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(ai[k]);
       if (scale == 0.0) {
-        e[i] = a(i, l);
+        e[i] = ai[l];
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          a(i, k) /= scale;
-          h += a(i, k) * a(i, k);
+          ai[k] /= scale;
+          h += ai[k] * ai[k];
         }
-        double f = a(i, l);
+        double f = ai[l];
         double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a(i, l) = f - g;
+        ai[l] = f - g;
+        // e[j] = (A u)_j / h from the stored lower triangle, read by rows:
+        // row k supplies the k' <= k dot of e[k] and the term k of every
+        // e[j] with j < k, so each e[j] still sums in ascending k.
+        for (std::size_t k = 0; k <= l; ++k) {
+          const double* ak = a.row(k);
+          g = 0.0;
+          for (std::size_t j = 0; j < k; ++j) {
+            g += ak[j] * ai[j];
+            e[j] += ak[j] * ai[k];
+          }
+          e[k] = g + ak[k] * ai[k];
+        }
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
-          a(j, i) = a(i, j) / h;
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          e[j] = g / h;
-          f += e[j] * a(i, j);
+          e[j] /= h;
+          f += e[j] * ai[j];
         }
         const double hh = f / (h + h);
         for (std::size_t j = 0; j <= l; ++j) {
-          f = a(i, j);
+          double* aj = a.row(j);
+          f = ai[j];
           e[j] = g = e[j] - hh * f;
           for (std::size_t k = 0; k <= j; ++k)
-            a(j, k) -= f * e[k] + g * a(i, k);
+            aj[k] -= f * e[k] + g * ai[k];
         }
       }
     } else {
-      e[i] = a(i, l);
+      e[i] = ai[l];
     }
     d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
-  // Accumulate transformation matrices.
+  // Accumulate the transforms into the leading block, which holds Q^T:
+  // Q(k, j) -= (u . Q(:, j)) u_k / h becomes a dot and an axpy on row j.
+  Vector w(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
+    const double* ai = a.row(i);
     if (i > 0 && d[i] != 0.0) {
       const std::size_t l = i - 1;
+      for (std::size_t k = 0; k <= l; ++k) w[k] = ai[k] / d[i];
       for (std::size_t j = 0; j <= l; ++j) {
+        double* qj = a.row(j);
         double g = 0.0;
-        for (std::size_t k = 0; k <= l; ++k) g += a(i, k) * a(k, j);
-        for (std::size_t k = 0; k <= l; ++k) a(k, j) -= g * a(k, i);
+        for (std::size_t k = 0; k <= l; ++k) g += ai[k] * qj[k];
+        for (std::size_t k = 0; k <= l; ++k) qj[k] -= g * w[k];
       }
     }
     d[i] = a(i, i);
     a(i, i) = 1.0;
-    if (i > 0) {
-      for (std::size_t j = 0; j < i; ++j) {
-        a(j, i) = 0.0;
-        a(i, j) = 0.0;
-      }
+    for (std::size_t j = 0; j < i; ++j) {
+      a(j, i) = 0.0;
+      a(i, j) = 0.0;
     }
   }
 }
@@ -82,8 +101,9 @@ double hypot2(double a, double b) { return std::hypot(a, b); }
 
 // Implicit-shift QL iteration on a symmetric tridiagonal matrix (EISPACK
 // tql2). `d` holds the diagonal, `e` the subdiagonal; eigenvectors are
-// accumulated into `z` (which should enter holding the tridiagonalizing Q).
-void ql_implicit(Vector& d, Vector& e, Matrix& z) {
+// accumulated into the rows of `zt` (which should enter holding the
+// tridiagonalizing Q^T), so each rotation updates two contiguous rows.
+void ql_implicit(Vector& d, Vector& e, Matrix& zt) {
   const std::size_t n = d.size();
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
@@ -126,10 +146,12 @@ void ql_implicit(Vector& d, Vector& e, Matrix& z) {
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
+        double* zi = zt.row(i);
+        double* zi1 = zt.row(i + 1);
         for (std::size_t k = 0; k < n; ++k) {
-          f = z(k, i + 1);
-          z(k, i + 1) = s * z(k, i) + c * f;
-          z(k, i) = c * z(k, i) - s * f;
+          f = zi1[k];
+          zi1[k] = s * zi[k] + c * f;
+          zi[k] = c * zi[k] - s * f;
         }
       }
       if (r == 0.0 && m > l + 1) continue;
@@ -156,23 +178,23 @@ EigenDecomposition eigen_symmetric(const Matrix& a) {
           "eigen_symmetric: matrix is not symmetric");
 
   const std::size_t n = a.rows();
-  Matrix z = a;
+  Matrix zt = a;
   // Symmetrize exactly so the reduction sees a clean input.
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = r + 1; c < n; ++c) {
-      const double v = 0.5 * (z(r, c) + z(c, r));
-      z(r, c) = v;
-      z(c, r) = v;
+      const double v = 0.5 * (zt(r, c) + zt(c, r));
+      zt(r, c) = v;
+      zt(c, r) = v;
     }
 
   Vector d(n, 0.0);
   Vector e(n, 0.0);
   if (n == 1) {
-    d[0] = z(0, 0);
-    z(0, 0) = 1.0;
+    d[0] = zt(0, 0);
+    zt(0, 0) = 1.0;
   } else {
-    tridiagonalize(z, d, e);
-    ql_implicit(d, e, z);
+    tridiagonalize(zt, d, e);
+    ql_implicit(d, e, zt);
   }
 
   // Sort eigenpairs by descending eigenvalue.
@@ -186,7 +208,8 @@ EigenDecomposition eigen_symmetric(const Matrix& a) {
   out.vectors = Matrix(n, n);
   for (std::size_t k = 0; k < n; ++k) {
     out.values[k] = d[order[k]];
-    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = z(r, order[k]);
+    const double* v = zt.row(order[k]);
+    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = v[r];
   }
   return out;
 }
