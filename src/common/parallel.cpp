@@ -32,7 +32,9 @@ thread_local bool t_is_worker = false;
 /// enter a region by incrementing `active` under the pool mutex while the
 /// region is published; the caller unpublishes the region after its own
 /// drain (at which point the cursor is exhausted, so no new work starts)
-/// and then waits for `active` to fall to zero before returning.
+/// and then waits under `m` for `active` to fall to zero before returning.
+/// A worker leaves by decrementing `active` under `m`, so that wait cannot
+/// end while the worker still holds a reference.
 struct Region {
   const std::function<void(std::size_t)>* body = nullptr;
   std::size_t n_chunks = 0;
@@ -241,11 +243,14 @@ class Pool {
     }
   }
 
+  /// The worker's last touch of the region. The decrement and the notify
+  /// happen under region.m: the caller tests `active` under the same mutex,
+  /// so it cannot see zero (and pop the region off its stack) until this
+  /// unlock, after which the worker never touches the region again.
   void leave(Region& region) {
-    if (region.active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      const std::lock_guard<std::mutex> lock(region.m);
+    const std::lock_guard<std::mutex> lock(region.m);
+    if (region.active.fetch_sub(1, std::memory_order_acq_rel) == 1)
       region.cv.notify_all();
-    }
   }
 
   void record_region(std::size_t n_chunks, double busy, double wait,
