@@ -45,7 +45,7 @@ void BM_EigenSymmetric(benchmark::State& state) {
   state.SetLabel(std::to_string(n * n) + "x" + std::to_string(n * n));
 }
 BENCHMARK(BM_EigenSymmetric)->Arg(10)->Arg(15)->Arg(20)->Arg(25)
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(31)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_GClosedForm(benchmark::State& state) {
   double t = 1e8;

@@ -3,8 +3,11 @@
 // Principal component analysis of the grid covariance matrix (Section II,
 // eq. 2 of the paper) reduces to an eigendecomposition of a real symmetric
 // matrix. We implement the classic dense path: Householder reduction to
-// tridiagonal form followed by the implicit-shift QL iteration. O(n^3),
-// robust, and fast enough for the paper's grids (up to 25 x 25 = 625).
+// tridiagonal form followed by the implicit-shift QL iteration, O(n^3) and
+// robust. The loops walk contiguous rows of the row-major matrix (the
+// reduction keeps Q^T, so QL rotates rows), yet every element goes through
+// the floating-point operations of EISPACK tred2/tql2 in their order: the
+// result is bit-identical to the textbook column-order port.
 //
 // When `variance_capture < 1` only the leading principal components are
 // consumed, so eigen_symmetric_truncated offers a blocked subspace-iteration
