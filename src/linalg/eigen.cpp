@@ -23,51 +23,48 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
   const std::size_t n = a.rows();
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
-    double* ai = a.row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(ai[k]);
+      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
       if (scale == 0.0) {
-        e[i] = ai[l];
+        e[i] = a(i, l);
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          ai[k] /= scale;
-          h += ai[k] * ai[k];
+          a(i, k) /= scale;
+          h += a(i, k) * a(i, k);
         }
-        double f = ai[l];
+        double f = a(i, l);
         double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        ai[l] = f - g;
+        a(i, l) = f - g;
         // e[j] = (A u)_j / h from the stored lower triangle, read by rows:
         // row k supplies the k' <= k dot of e[k] and the term k of every
         // e[j] with j < k, so each e[j] still sums in ascending k.
         for (std::size_t k = 0; k <= l; ++k) {
-          const double* ak = a.row(k);
           g = 0.0;
           for (std::size_t j = 0; j < k; ++j) {
-            g += ak[j] * ai[j];
-            e[j] += ak[j] * ai[k];
+            g += a(k, j) * a(i, j);
+            e[j] += a(k, j) * a(i, k);
           }
-          e[k] = g + ak[k] * ai[k];
+          e[k] = g + a(k, k) * a(i, k);
         }
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
           e[j] /= h;
-          f += e[j] * ai[j];
+          f += e[j] * a(i, j);
         }
         const double hh = f / (h + h);
         for (std::size_t j = 0; j <= l; ++j) {
-          double* aj = a.row(j);
-          f = ai[j];
+          f = a(i, j);
           e[j] = g = e[j] - hh * f;
           for (std::size_t k = 0; k <= j; ++k)
-            aj[k] -= f * e[k] + g * ai[k];
+            a(j, k) -= f * e[k] + g * a(i, k);
         }
       }
     } else {
-      e[i] = ai[l];
+      e[i] = a(i, l);
     }
     d[i] = h;
   }
@@ -77,22 +74,22 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
   // Q(k, j) -= (u . Q(:, j)) u_k / h becomes a dot and an axpy on row j.
   Vector w(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const double* ai = a.row(i);
     if (i > 0 && d[i] != 0.0) {
       const std::size_t l = i - 1;
-      for (std::size_t k = 0; k <= l; ++k) w[k] = ai[k] / d[i];
+      for (std::size_t k = 0; k <= l; ++k) w[k] = a(i, k) / d[i];
       for (std::size_t j = 0; j <= l; ++j) {
-        double* qj = a.row(j);
         double g = 0.0;
-        for (std::size_t k = 0; k <= l; ++k) g += ai[k] * qj[k];
-        for (std::size_t k = 0; k <= l; ++k) qj[k] -= g * w[k];
+        for (std::size_t k = 0; k <= l; ++k) g += a(i, k) * a(j, k);
+        for (std::size_t k = 0; k <= l; ++k) a(j, k) -= g * w[k];
       }
     }
     d[i] = a(i, i);
     a(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      a(j, i) = 0.0;
-      a(i, j) = 0.0;
+    if (i > 0) {
+      for (std::size_t j = 0; j < i; ++j) {
+        a(j, i) = 0.0;
+        a(i, j) = 0.0;
+      }
     }
   }
 }
@@ -146,12 +143,10 @@ void ql_implicit(Vector& d, Vector& e, Matrix& zt) {
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        double* zi = zt.row(i);
-        double* zi1 = zt.row(i + 1);
         for (std::size_t k = 0; k < n; ++k) {
-          f = zi1[k];
-          zi1[k] = s * zi[k] + c * f;
-          zi[k] = c * zi[k] - s * f;
+          f = zt(i + 1, k);
+          zt(i + 1, k) = s * zt(i, k) + c * f;
+          zt(i, k) = c * zt(i, k) - s * f;
         }
       }
       if (r == 0.0 && m > l + 1) continue;
@@ -208,8 +203,7 @@ EigenDecomposition eigen_symmetric(const Matrix& a) {
   out.vectors = Matrix(n, n);
   for (std::size_t k = 0; k < n; ++k) {
     out.values[k] = d[order[k]];
-    const double* v = zt.row(order[k]);
-    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = v[r];
+    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = zt(order[k], r);
   }
   return out;
 }
