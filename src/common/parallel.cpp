@@ -243,10 +243,8 @@ class Pool {
     }
   }
 
-  /// The worker's last touch of the region. The decrement and the notify
-  /// happen under region.m: the caller tests `active` under the same mutex,
-  /// so it cannot see zero (and pop the region off its stack) until this
-  /// unlock, after which the worker never touches the region again.
+  /// The worker's last touch of the region: decrementing under region.m
+  /// keeps the caller's wait from seeing zero before this unlock.
   void leave(Region& region) {
     const std::lock_guard<std::mutex> lock(region.m);
     if (region.active.fetch_sub(1, std::memory_order_acq_rel) == 1)

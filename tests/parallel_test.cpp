@@ -152,8 +152,8 @@ TEST(ParallelPool, ManyShortRegionsNeverOutliveTheirWorkers) {
   // The region lives on the caller's stack. A worker's last touch of it
   // (dropping `active` and notifying) must finish before the caller can
   // observe zero and return, or the worker locks a dead region's mutex.
-  // Thousands of near-empty 2-chunk regions keep that window hot; ASan
-  // (detect_stack_use_after_return) and TSan report it if it reopens.
+  // Thousands of near-empty 2-chunk regions keep that window hot; TSan
+  // reports the race if it reopens.
   PoolGuard guard;
   par::set_threads(4);
   constexpr std::uint64_t kRegions = 20000;
