@@ -6,12 +6,15 @@
 
 namespace obd::core {
 
-double g_closed_form(double t, double alpha, double b, double u, double v) {
+GExponent g_exponent(double t, double alpha, double b) {
   require(t > 0.0 && alpha > 0.0 && b > 0.0,
           "g_closed_form: t, alpha, b must be positive");
-  require(v >= 0.0, "g_closed_form: variance must be non-negative");
   const double gamma = std::log(t / alpha);
-  return std::exp(gamma * b * u + 0.5 * gamma * gamma * b * b * v);
+  return {.lin = gamma * b, .quad = 0.5 * gamma * gamma * b * b};
+}
+
+double g_closed_form(double t, double alpha, double b, double u, double v) {
+  return g_from_exponent(g_exponent(t, alpha, b), u, v);
 }
 
 double device_reliability(double t, double alpha, double b, double thickness,

@@ -1,8 +1,10 @@
 // Closed-form kernels of the statistical OBD analysis (eq. 9-18).
 #pragma once
 
+#include <cmath>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/problem.hpp"
 
 namespace obd::core {
@@ -12,6 +14,24 @@ namespace obd::core {
 /// This is E[(t/alpha)^(b X)] for X ~ N(u, v) — the per-unit-area expected
 /// Weibull exponent of a block whose BLOD has mean u and variance v.
 double g_closed_form(double t, double alpha, double b, double u, double v);
+
+/// The t-dependent coefficients of g for one block, so that
+/// g(u, v) = exp(lin u + quad v) with lin = gamma b, quad = gamma^2 b^2 / 2.
+/// A loop over (u, v) nodes evaluates the logarithm once instead of per
+/// node; every g it returns is bit-identical to g_closed_form's.
+struct GExponent {
+  double lin = 0.0;
+  double quad = 0.0;
+};
+GExponent g_exponent(double t, double alpha, double b);
+
+/// g(u, v) from precomputed coefficients (v must be non-negative). The
+/// check builds its message only on failure: this runs once per node.
+inline double g_from_exponent(const GExponent& e, double u, double v) {
+  if (!(v >= 0.0))
+    throw Error("g_closed_form: variance must be non-negative");
+  return std::exp(e.lin * u + e.quad * v);
+}
 
 /// Conditional reliability of one device (eq. 9):
 /// R_i(t | x) = exp(-a (t/alpha)^(b x)).

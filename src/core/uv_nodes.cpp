@@ -9,9 +9,13 @@ namespace obd::core {
 
 double block_failure_from_nodes(const BlockParams& block,
                                 const std::vector<UvNode>& nodes, double t) {
+  if (nodes.empty()) return 0.0;
+  // Same terms as block_conditional_failure, with g's logarithm taken once
+  // per block rather than once per node.
+  const GExponent e = g_exponent(t, block.alpha, block.b);
   double f = 0.0;
   for (const auto& n : nodes)
-    f += n.weight * block_conditional_failure(block, t, n.u, n.v);
+    f += n.weight * -std::expm1(-block.area * g_from_exponent(e, n.u, n.v));
   return f;
 }
 
