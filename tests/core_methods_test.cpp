@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "chip/design.hpp"
 #include "common/diagnostics.hpp"
@@ -136,6 +138,66 @@ TEST_F(MethodsFixture, StMcSampleAverageMatchesHistogram) {
   const StMcAnalyzer b(*problem_, raw);
   const double t = 2e8;
   EXPECT_NEAR(a.failure_probability(t) / b.failure_probability(t), 1.0, 0.05);
+}
+
+// FNV-1a over the bit patterns of every node's u, v and weight, block by
+// block: two st_MC builds share a digest only if they agree bit for bit.
+std::uint64_t node_digest(const std::vector<std::vector<UvNode>>& nodes) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& block : nodes)
+    for (const UvNode& n : block) {
+      mix(n.u);
+      mix(n.v);
+      mix(n.weight);
+    }
+  return h;
+}
+
+// The st_MC sampler is seed-pinned: a change to how the samples are
+// computed may move time, never a bit. The fixture's 10x10 grid gives
+// every block several cells with more than one kept block-local
+// component. 1037 samples is not a multiple of any power-of-two batch and
+// 100 (the minimum) is below one.
+TEST_F(MethodsFixture, StMcGoldenNodeDigests) {
+  std::size_t multi_cell_blocks = 0;
+  for (const auto& w : problem_->layout().weights)
+    if (w.size() > 1) ++multi_cell_blocks;
+  ASSERT_GT(multi_cell_blocks, 0u);
+
+  StMcOptions lhs;
+  lhs.latin_hypercube = true;
+  StMcOptions raw;
+  raw.use_histogram = false;
+  StMcOptions odd;
+  odd.samples = 1037;
+  StMcOptions odd_raw = odd;
+  odd_raw.use_histogram = false;
+  StMcOptions least;
+  least.samples = 100;
+  least.use_histogram = false;
+  const struct {
+    const char* name;
+    StMcOptions options;
+    std::uint64_t digest;
+  } cases[] = {{"default", StMcOptions{}, 0x45898cceb216f28cull},
+               {"latin_hypercube", lhs, 0xbe379f9d4e778712ull},
+               {"raw samples", raw, 0x6f1427cf797f1465ull},
+               {"1037 samples", odd, 0xafc9881ebd574843ull},
+               {"1037 raw samples", odd_raw, 0x566058b563ee2edbull},
+               {"100 raw samples", least, 0x17ca60f5d1afa7b9ull}};
+  for (const auto& c : cases) {
+    const StMcAnalyzer st_mc(*problem_, c.options);
+    EXPECT_EQ(node_digest(st_mc.nodes()), c.digest)
+        << c.name << std::hex << " got 0x" << node_digest(st_mc.nodes());
+  }
 }
 
 TEST_F(MethodsFixture, HybridMatchesStFast) {
