@@ -108,6 +108,15 @@ void BM_StFastConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_StFastConstruction)->Unit(benchmark::kMillisecond);
 
+void BM_StMcConstruction(benchmark::State& state) {
+  for (auto _ : state) {
+    const core::StMcAnalyzer st_mc(shared_problem(), {.samples = 20000});
+    benchmark::DoNotOptimize(st_mc.failure_probability(2e8));
+  }
+  state.SetLabel("20000 samples per block + one query");
+}
+BENCHMARK(BM_StMcConstruction)->Unit(benchmark::kMillisecond);
+
 void BM_MonteCarloChipSampling(benchmark::State& state) {
   const auto chips = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -35,7 +35,8 @@
 //                     over the same region).
 //   matmul            bit-identical across ALL levels AND to the
 //                     historical naive ikj loop: per output element the
-//                     contributions accumulate in ascending k with the
+//                     contributions accumulate onto out's entry value
+//                     (out += a*b, not out = a*b) in ascending k with the
 //                     same round(product)-then-add sequence and the same
 //                     a == 0.0 skip; k-tiling and column vectorization
 //                     (4-wide or 8-wide) only reorder independent
@@ -88,8 +89,10 @@ struct KernelTable {
                        std::size_t n);
   /// out[i] = standard normal CDF of z[i]. In-place (out == z) is allowed.
   void (*normal_cdf_batch)(const double* z, std::size_t n, double* out);
-  /// out(m x n) = a(m x k) * b(k x n), row-major, out pre-zeroed by the
-  /// caller. Skips a(r, kk) == 0.0 exactly like the historical loop.
+  /// out(m x n) += a(m x k) * b(k x n), row-major: each out(r, c) starts
+  /// from its value on entry and adds round(a(r, kk) * b(kk, c)) in
+  /// ascending kk (zero-fill out first for a plain product). Skips
+  /// a(r, kk) == 0.0 exactly like the historical loop.
   void (*matmul)(const double* a, const double* b, double* out,
                  std::size_t m, std::size_t k, std::size_t n);
   /// y(rows) = a(rows x cols) * x(cols), row-major.

@@ -256,33 +256,48 @@ TEST_P(SimdKernelPair, NormalCdfBatchMatchesScalarReference) {
 
 TEST_P(SimdKernelPair, MatmulBitIdenticalAcrossLevelsAndToNaiveLoop) {
   stats::Rng rng(31);
+  stats::Rng start_rng(32);
   struct Shape {
     std::size_t m, k, n;
   };
+  // The kernel accumulates into out (out += a*b in ascending k), so each
+  // shape is checked from a zero-filled out and from non-zero per-row
+  // start values, as the st_MC sampler calls it (each row starts at its
+  // cell's nominal thickness). 325x296x64 is that sampler's batch shape on
+  // the EV6 problem and crosses the 256-wide k tile.
   for (const Shape sh : {Shape{5, 7, 9}, Shape{17, 33, 8}, Shape{1, 300, 1},
-                         Shape{48, 48, 48}}) {
+                         Shape{48, 48, 48}, Shape{325, 296, 64}}) {
     std::vector<double> a(sh.m * sh.k);
     std::vector<double> b(sh.k * sh.n);
     for (double& x : a) x = rng.uniform() < 0.2 ? 0.0 : rng.normal();
     for (double& x : b) x = rng.normal();
-    // Historical naive ikj loop with the a == 0.0 skip.
-    std::vector<double> ref(sh.m * sh.n, 0.0);
+    std::vector<double> row_starts(sh.m * sh.n);
     for (std::size_t i = 0; i < sh.m; ++i)
-      for (std::size_t kk = 0; kk < sh.k; ++kk) {
-        const double av = a[i * sh.k + kk];
-        if (av == 0.0) continue;
-        for (std::size_t j = 0; j < sh.n; ++j)
-          ref[i * sh.n + j] += av * b[kk * sh.n + j];
+      std::fill_n(row_starts.begin() + i * sh.n, sh.n,
+                  2.2 + 0.1 * start_rng.normal());
+    for (const auto& start :
+         {std::vector<double>(sh.m * sh.n, 0.0), row_starts}) {
+      // Historical naive ikj loop with the a == 0.0 skip.
+      std::vector<double> ref = start;
+      for (std::size_t i = 0; i < sh.m; ++i)
+        for (std::size_t kk = 0; kk < sh.k; ++kk) {
+          const double av = a[i * sh.k + kk];
+          if (av == 0.0) continue;
+          for (std::size_t j = 0; j < sh.n; ++j)
+            ref[i * sh.n + j] += av * b[kk * sh.n + j];
+        }
+      std::vector<double> outs = start;
+      std::vector<double> outv = start;
+      s_.matmul(a.data(), b.data(), outs.data(), sh.m, sh.k, sh.n);
+      v_.matmul(a.data(), b.data(), outv.data(), sh.m, sh.k, sh.n);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(outs[i], ref[i]) << sh.m << "x" << sh.k << "x" << sh.n
+                                   << " start " << start[i] << " element "
+                                   << i;
+        ASSERT_EQ(outv[i], ref[i]) << sh.m << "x" << sh.k << "x" << sh.n
+                                   << " start " << start[i] << " element "
+                                   << i;
       }
-    std::vector<double> outs(sh.m * sh.n, 0.0);
-    std::vector<double> outv(sh.m * sh.n, 0.0);
-    s_.matmul(a.data(), b.data(), outs.data(), sh.m, sh.k, sh.n);
-    v_.matmul(a.data(), b.data(), outv.data(), sh.m, sh.k, sh.n);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(outs[i], ref[i]) << sh.m << "x" << sh.k << "x" << sh.n
-                                 << " element " << i;
-      ASSERT_EQ(outv[i], ref[i]) << sh.m << "x" << sh.k << "x" << sh.n
-                                 << " element " << i;
     }
   }
 }
