@@ -45,7 +45,6 @@ double ConditionEvaluator::evaluate_ls(double t) {
   const std::span<const double> alphas = state_.alphas();
   const std::span<const double> bs = state_.bs();
   const mech::MechanismStack& stack = hybrid_->problem().mechanisms();
-  if (stack.trivial()) return oxide_log_survival(t);
   ls_scratch_.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const double oxide_f = std::min(

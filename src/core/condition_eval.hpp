@@ -6,9 +6,9 @@
 // scale. The evaluator maps the corner through the device reliability
 // model — alpha_j = alpha(T_j + dT, vdd), b_j = b(T_j + dT, vdd) — into a
 // ChipState and answers F(t) through the IncrementalEvaluator, so the
-// result is bit-identical to hybrid.failure_probability_with (trivial
-// mechanism stacks) / stack.compose_under (non-trivial), and repeated
-// corners on the same evaluator refresh only the rows that changed.
+// result is bit-identical to stack.compose_under over the corner's
+// per-block oxide failures and conditions, and repeated corners on the
+// same evaluator refresh only the rows that changed.
 //
 // Consumers: the serve daemon's per-session `cond.*` request path, the
 // surrogate layer's fit/certification reference, and the surrogate bench

@@ -79,24 +79,13 @@ double DutyCycleAnalyzer::failure_probability(double t) const {
     }
     return std::clamp(f, 0.0, 1.0);
   };
-  const mech::MechanismStack& stack = problem_->mechanisms();
-  if (!stack.trivial()) {
-    // Phases modulate the oxide (alpha, b) only; the aging mechanisms see
-    // the actual elapsed time at each block's default operating point —
-    // the same competing-risks fold as the direct evaluators.
-    thread_local std::vector<double> oxide_f;
-    oxide_f.resize(blocks.size());
-    for (std::size_t j = 0; j < blocks.size(); ++j)
-      oxide_f[j] = block_failure(j);
-    return stack.compose(oxide_f.data(), t);
-  }
-  // Survival-product weakest-link composition across blocks, matching
-  // failure_from_nodes (the first-order block-failure sum overestimates
-  // F(t) at high failure levels).
-  double log_survival = 0.0;
-  for (std::size_t j = 0; j < blocks.size(); ++j)
-    log_survival += std::log1p(-block_failure(j));
-  return std::clamp(-std::expm1(log_survival), 0.0, 1.0);
+  // Phases modulate the oxide (alpha, b) only; the aging mechanisms see
+  // the actual elapsed time at each block's default operating point —
+  // the same competing-risks fold as the direct evaluators.
+  thread_local std::vector<double> oxide_f;
+  oxide_f.resize(blocks.size());
+  for (std::size_t j = 0; j < blocks.size(); ++j) oxide_f[j] = block_failure(j);
+  return problem_->mechanisms().compose(oxide_f.data(), t);
 }
 
 double DutyCycleAnalyzer::lifetime_at(double target) const {

@@ -90,31 +90,18 @@ double HybridEvaluator::failure_probability(double t) const {
   // survival product, accumulated in log space for accuracy:
   // F = 1 - prod_j (1 - F_j) = -expm1(sum_j log1p(-F_j)). Summing the
   // F_j and clamping is only the first-order expansion and overestimates
-  // F(t) at high failure levels.
+  // F(t) at high failure levels. MechanismStack owns that fold and adds
+  // the aging mechanisms (at each block's default operating point, the
+  // same point the tables were built for) and any spare groups.
   const auto& blocks = problem_->blocks();
-  const mech::MechanismStack& stack = problem_->mechanisms();
-  if (!stack.trivial()) {
-    // Competing risks: hand the per-block oxide failures to the stack,
-    // which folds in the aging mechanisms (at each block's default
-    // operating point — the same point the tables were built for) and
-    // any spare groups.
-    thread_local std::vector<double> oxide_f;
-    oxide_f.resize(blocks.size());
-    for (std::size_t j = 0; j < blocks.size(); ++j) {
-      oxide_f[j] = std::min(
-          1.0,
-          block_failure_lookup(j, std::log(t / blocks[j].alpha), blocks[j].b));
-    }
-    return stack.compose(oxide_f.data(), t);
-  }
-  double log_survival = 0.0;
+  thread_local std::vector<double> oxide_f;
+  oxide_f.resize(blocks.size());
   for (std::size_t j = 0; j < blocks.size(); ++j) {
-    const double fj = std::min(
+    oxide_f[j] = std::min(
         1.0,
         block_failure_lookup(j, std::log(t / blocks[j].alpha), blocks[j].b));
-    log_survival += std::log1p(-fj);
   }
-  return std::clamp(-std::expm1(log_survival), 0.0, 1.0);
+  return problem_->mechanisms().compose(oxide_f.data(), t);
 }
 
 std::vector<double> HybridEvaluator::failure_probabilities(
@@ -134,30 +121,18 @@ double HybridEvaluator::failure_probability_with(
   const auto& blocks = problem_->blocks();
   require(alphas.size() == blocks.size() && bs.size() == blocks.size(),
           "HybridEvaluator: one (alpha, b) pair per block required");
-  const mech::MechanismStack& stack = problem_->mechanisms();
-  if (!stack.trivial()) {
-    // Corner overrides replace the oxide (alpha, b) only; the aging
-    // mechanisms keep their default per-block operating points (the DRM
-    // rung path passes explicit conditions through compose_under itself).
-    thread_local std::vector<double> oxide_f;
-    oxide_f.resize(blocks.size());
-    for (std::size_t j = 0; j < blocks.size(); ++j) {
-      require(alphas[j] > 0.0 && bs[j] > 0.0,
-              "HybridEvaluator: alpha and b must be positive");
-      oxide_f[j] = std::min(
-          1.0, block_failure_lookup(j, std::log(t / alphas[j]), bs[j]));
-    }
-    return stack.compose(oxide_f.data(), t);
-  }
-  double log_survival = 0.0;
+  // Corner overrides replace the oxide (alpha, b) only; the aging
+  // mechanisms keep their default per-block operating points (the DRM
+  // rung path passes explicit conditions through compose_under itself).
+  thread_local std::vector<double> oxide_f;
+  oxide_f.resize(blocks.size());
   for (std::size_t j = 0; j < blocks.size(); ++j) {
     require(alphas[j] > 0.0 && bs[j] > 0.0,
             "HybridEvaluator: alpha and b must be positive");
-    const double fj = std::min(
+    oxide_f[j] = std::min(
         1.0, block_failure_lookup(j, std::log(t / alphas[j]), bs[j]));
-    log_survival += std::log1p(-fj);
   }
-  return std::clamp(-std::expm1(log_survival), 0.0, 1.0);
+  return problem_->mechanisms().compose(oxide_f.data(), t);
 }
 
 std::vector<double> HybridEvaluator::failure_probabilities_with(

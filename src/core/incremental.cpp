@@ -21,12 +21,9 @@ void IncrementalEvaluator::refresh_row(const ChipState& state, std::size_t j,
           "IncrementalEvaluator: alpha and b must be positive");
   const double fj =
       std::min(1.0, hybrid_->block_failure(j, std::log(t / alpha), b));
-  // Same ops as the from-scratch paths: the trivial row matches the
-  // failure_probability_with loop body; the non-trivial row matches what
-  // compose_under computes per block for the state's conditions.
-  rows_[j] = stack_->trivial()
-                 ? std::log1p(-fj)
-                 : stack_->block_log_survival(j, fj, t, state.conditions(j));
+  // Same ops as the from-scratch paths: the row is what compose_under
+  // computes per block for the state's conditions.
+  rows_[j] = stack_->block_log_survival(j, fj, t, state.conditions(j));
 }
 
 double IncrementalEvaluator::evaluate(ChipState& state, double t) {
@@ -64,10 +61,7 @@ double IncrementalEvaluator::evaluate(ChipState& state, double t) {
 
   // Full fixed-order reduction over all N rows — never over the dirty
   // subset — so the result cannot depend on the update history.
-  if (!stack_->trivial()) return stack_->reduce_log_survival(rows_.data());
-  double log_survival = 0.0;
-  for (std::size_t j = 0; j < n; ++j) log_survival += rows_[j];
-  return std::clamp(-std::expm1(log_survival), 0.0, 1.0);
+  return stack_->reduce_log_survival(rows_.data());
 }
 
 }  // namespace obd::core

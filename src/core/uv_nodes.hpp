@@ -26,19 +26,13 @@ struct UvNode {
   double weight = 0.0;
 };
 
-/// Chip failure probability at time t from per-block node lists, composed
-/// across blocks in survival space (weakest link, eq. 7-8):
-/// F(t) = 1 - prod_j (1 - F_j) with F_j = sum_n w_n (1 - exp(-A_j g)).
-/// (Per-block marginals suffice by the independence step of eq. 19-21; the
-/// survival product keeps F(t) exact at high failure levels where the
-/// first-order sum-of-blocks approximation overestimates.)
-double failure_from_nodes(const std::vector<BlockParams>& blocks,
-                          const std::vector<std::vector<UvNode>>& nodes,
-                          double t);
-
-/// Mechanism-aware variant: composes the per-block oxide failures with the
-/// stack's aging mechanisms and spare groups. With a trivial stack this is
-/// bit-identical to the three-argument overload (same loop, same op order).
+/// Chip failure probability at time t from per-block node lists. Each
+/// block's oxide failure is F_j = sum_n w_n (1 - exp(-A_j g)); the stack
+/// composes them across blocks in survival space (weakest link, eq. 7-8),
+/// F(t) = 1 - prod_j (1 - F_j), together with its aging mechanisms and
+/// spare groups. (Per-block marginals suffice by the independence step of
+/// eq. 19-21; the survival product keeps F(t) exact at high failure levels
+/// where the first-order sum-of-blocks approximation overestimates.)
 double failure_from_nodes(const std::vector<BlockParams>& blocks,
                           const std::vector<std::vector<UvNode>>& nodes,
                           double t, const mech::MechanismStack& stack);

@@ -2,12 +2,12 @@
 // mechanism as a function of operating conditions (temperature, supply,
 // switching activity) and time.
 //
-// The paper's gate-oxide breakdown model is one implementation (wrapped
-// behind this interface in core/oxide_mechanism.*, bit-for-bit identical
-// to the direct evaluators); the aging mechanisms NBTI, EM (Black's
-// equation), and HCI share a lognormal TTF with Arrhenius-style
-// temperature acceleration using the same Kelvin-offset conventions as
-// core/device_model.cpp.
+// The aging mechanisms NBTI, EM (Black's equation), and HCI implement it
+// with a lognormal TTF and Arrhenius-style temperature acceleration using
+// the same Kelvin-offset conventions as core/device_model.cpp. The
+// paper's gate-oxide breakdown model stays outside the interface: the
+// evaluators compute its per-block failures and MechanismStack composes
+// them with these laws.
 #pragma once
 
 #include <cstddef>
@@ -102,9 +102,8 @@ class LognormalMechanism final : public FailureMechanism {
 };
 
 /// Builds the enabled aging mechanisms of `spec` (in the fixed order
-/// nbti, em, hci). The oxide base model is not included — it stays in the
-/// evaluators' existing hot paths and is only wrapped behind the
-/// interface by core::OxideMechanism for interface-level consumers.
+/// nbti, em, hci). The oxide base model is not included — the
+/// evaluators compute it and hand it to MechanismStack.
 [[nodiscard]] std::vector<std::unique_ptr<FailureMechanism>>
 make_aging_mechanisms(const MechanismSpec& spec);
 

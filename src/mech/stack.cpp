@@ -129,15 +129,6 @@ double MechanismStack::compose_impl(
     const double* oxide_f, double t,
     const std::vector<OperatingConditions>* conditions) const {
   const std::size_t n = defaults_.size();
-  if (trivial_) {
-    // Exact seed loop: same op order as the direct evaluators.
-    double log_survival = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      log_survival += std::log1p(-oxide_f[j]);
-    }
-    return std::clamp(-std::expm1(log_survival), 0.0, 1.0);
-  }
-
   thread_local std::vector<double> block_ls;
   block_ls.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {

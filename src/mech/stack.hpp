@@ -14,9 +14,10 @@
 //               (Poisson-binomial over member failure probs p_j = -expm1(ls_j))
 //   chip F:     clamp(-expm1(chip ls), 0, 1)
 //
-// With the seed-equivalent spec (`trivial()` true) the compose calls
-// reproduce the seed survival-product loop exactly — same operations in
-// the same order — so default results stay bit-identical.
+// This is the one place the chip fold is written; every evaluator composes
+// F(t) through it. With the seed-equivalent spec (`trivial()` true) each
+// block term is log1p(-F_oxide,j) + 0.0 and the chip sum starts at +0.0,
+// so the result is the seed survival product bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +42,8 @@ class MechanismStack {
                  const std::vector<std::string>& block_names,
                  std::vector<OperatingConditions> default_conditions);
 
-  /// Seed-equivalent: no aging mechanisms and no redundancy. Evaluator
-  /// hot paths branch on this once and keep their exact seed loops.
+  /// Seed-equivalent: no aging mechanisms and no redundancy. The Monte
+  /// Carlo reference checks it to allow k-th-failure chip counts.
   [[nodiscard]] bool trivial() const { return trivial_; }
 
   [[nodiscard]] bool has_redundancy() const { return !groups_.empty(); }
@@ -87,9 +88,8 @@ class MechanismStack {
   [[nodiscard]] double extra_survival(double t) const;
 
   /// One block's log-survival term: log1p(-oxide_f_j) +
-  /// extra_log_survival(j, t, c). Non-trivial stacks only — the trivial
-  /// path keeps its exact seed loop inside compose(). The incremental
-  /// evaluator caches these per block and re-derives only dirty rows.
+  /// extra_log_survival(j, t, c). The incremental evaluator caches these
+  /// per block and re-derives only dirty rows.
   [[nodiscard]] double block_log_survival(std::size_t j, double oxide_f_j,
                                           double t,
                                           const OperatingConditions& c) const;
@@ -98,7 +98,7 @@ class MechanismStack {
   /// failure probability: series sum over ungrouped blocks plus the
   /// Poisson-binomial spare-group terms, in the same fixed order as
   /// compose() regardless of which inputs changed — the bit-identity
-  /// anchor of the incremental path. Non-trivial stacks only.
+  /// anchor of the incremental path.
   [[nodiscard]] double reduce_log_survival(const double* block_ls) const;
 
   /// The same reduction stopped before the -expm1 conversion: the chip

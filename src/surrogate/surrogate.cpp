@@ -143,12 +143,9 @@ SurrogateModel SurrogateModel::fit(const core::ReliabilityProblem& problem,
   };
 
   const mech::MechanismStack& stack = problem.mechanisms();
-  if (stack.trivial()) {
-    // Oxide only; activity cannot reach the result, one node pins it.
-    fit_channel(options.n_t, 1,
-                [&](double t) { return ref.oxide_log_survival(t); });
-  } else if (!stack.has_redundancy()) {
+  if (!stack.has_redundancy()) {
     // Channel-separable: chip ls is exactly oxide ls + each mechanism ls.
+    // The oxide channel ignores activity, so one node pins that axis.
     fit_channel(options.n_t, 1,
                 [&](double t) { return ref.oxide_log_survival(t); });
     for (std::size_t mech_i = 0; mech_i < stack.extras().size(); ++mech_i) {
