@@ -10,8 +10,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+
+#include "simd/dispatch.hpp"
 
 namespace {
 
@@ -120,6 +123,42 @@ TEST_F(CliTest, MissingFlagValueIsAConfigError) {
   EXPECT_EQ(r.status, 2);
   EXPECT_NE(r.err.find("--socket needs a value"), std::string::npos)
       << r.err;
+}
+
+TEST_F(CliTest, UsageNamesEverySimdLevel) {
+  const CmdResult r = run("help");
+  ASSERT_EQ(r.status, 0);
+  const std::string key = "`simd` config key (";
+  const std::size_t begin = r.out.find(key);
+  ASSERT_NE(begin, std::string::npos) << r.out;
+  const std::size_t end = r.out.find(',', begin);
+  ASSERT_NE(end, std::string::npos) << r.out;
+  std::set<std::string> listed;
+  std::istringstream in(
+      r.out.substr(begin + key.size(), end - begin - key.size()));
+  for (std::string level; std::getline(in, level, '|');) listed.insert(level);
+  // simd::configure accepts "auto" plus the name of every dispatch level.
+  std::set<std::string> accepted{"auto"};
+  using obd::simd::Level;
+  for (const Level level : {Level::kScalar, Level::kAvx2, Level::kAvx512})
+    accepted.insert(obd::simd::to_string(level));
+  EXPECT_EQ(listed, accepted) << r.out;
+}
+
+TEST_F(CliTest, BadDeviceSamplingIsAConfigErrorNamingTheKey) {
+  const std::string cfg = ::testing::TempDir() + "obdrel-cli-sampling.cfg";
+  {
+    std::ofstream out(cfg);
+    out << "grid 6\nmc_chips 4\ndevice_sampling bogus\n";
+  }
+  for (const std::string& cmd :
+       {"analyze " + cfg, "fleet " + cfg + " --chips 4"}) {
+    const CmdResult r = run(cmd);
+    EXPECT_EQ(r.status, 2) << cmd << "\n" << r.err;
+    EXPECT_NE(r.err.find("device_sampling"), std::string::npos)
+        << cmd << "\n" << r.err;
+  }
+  fs::remove(cfg);
 }
 
 }  // namespace

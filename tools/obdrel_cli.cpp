@@ -45,8 +45,9 @@
 //   targets       failure-quantile list                  (default 1e-6 1e-5)
 //   strict        bool: same as --strict                 (default false)
 //   threads       shared-pool worker threads             (default auto)
-//   simd          auto | avx2 | scalar SIMD dispatch     (default auto)
-//                 (overrides the OBDREL_SIMD environment variable)
+//   simd          auto | avx512 | avx2 | scalar          (default auto)
+//                 SIMD dispatch level (overrides the OBDREL_SIMD
+//                 environment variable)
 //   thermal_sweep lexicographic | redblack SOR order     (default lexicographic)
 //   faults        fault-injection spec (testing only)
 //   mechanisms    comma list: oxide[,nbti][,em][,hci]    (default oxide)
@@ -251,8 +252,9 @@ var::EigenSolver parse_eigen_solver(const Config& cfg) {
               ErrorCode::kConfig);
 }
 
-core::DeviceSampling parse_device_sampling(const Config& cfg) {
-  const std::string v = cfg.get_string("device_sampling", "per_device");
+core::DeviceSampling parse_device_sampling(const Config& cfg,
+                                          const char* fallback) {
+  const std::string v = cfg.get_string("device_sampling", fallback);
   if (v == "per_device") return core::DeviceSampling::kPerDevice;
   if (v == "binned") return core::DeviceSampling::kBinned;
   throw Error(
@@ -275,7 +277,7 @@ core::ReliabilityProblem build_problem(const Config& cfg,
   // Validate device_sampling here too so a bad value fails with the config
   // exit code in every command, not only the ones that build an MC
   // analyzer (which re-read it at the use site).
-  (void)parse_device_sampling(cfg);
+  (void)parse_device_sampling(cfg, "per_device");
   return core::ReliabilityProblem::build(p.design, var::VariationBudget{},
                                          p.model, p.profile.block_temps_c,
                                          p.vdd, opts);
@@ -375,8 +377,8 @@ int cmd_analyze(const Config& cfg) {
   if (methods.count("mc") != 0) {
     Stopwatch sw;
     const core::MonteCarloAnalyzer a(
-        problem,
-        {.chip_samples = mc_chips, .sampling = parse_device_sampling(cfg)});
+        problem, {.chip_samples = mc_chips,
+                  .sampling = parse_device_sampling(cfg, "per_device")});
     report("MC", [&](double t) { return a.lifetime_at(t); }, sw.seconds());
   }
   return 0;
@@ -575,17 +577,6 @@ struct FleetFlags {
   std::uint64_t chaos_seed = 1;
 };
 
-core::DeviceSampling parse_fleet_sampling(const Config& cfg) {
-  // Fleet sweeps default to the binned sampler: the per-device reference
-  // is impractical at million-chip populations (still selectable).
-  const std::string v = cfg.get_string("device_sampling", "binned");
-  if (v == "per_device") return core::DeviceSampling::kPerDevice;
-  if (v == "binned") return core::DeviceSampling::kBinned;
-  throw Error(
-      "device_sampling must be 'per_device' or 'binned', got '" + v + "'",
-      ErrorCode::kConfig);
-}
-
 // Canonical identity of everything in the config that shapes the problem
 // build or the sampler — folded into the fleet fingerprint so durable
 // state from a different model configuration is rejected, not merged.
@@ -618,7 +609,9 @@ fleet::FleetSpec make_fleet_spec(const Config& cfg, std::uint64_t chips) {
   spec.chips = chips;
   spec.seed = static_cast<std::uint64_t>(cfg.get_count("seed", 99));
   spec.thickness_bins = cfg.get_count("mc_bins", 512);
-  spec.sampling = parse_fleet_sampling(cfg);
+  // Fleet sweeps default to the binned sampler: the per-device reference
+  // is impractical at million-chip populations (still selectable).
+  spec.sampling = parse_device_sampling(cfg, "binned");
   spec.problem_key = fleet_problem_key(cfg);
   if (cfg.has("fleet_times_years")) {
     for (const double y : cfg.get_doubles("fleet_times_years", {})) {
@@ -894,10 +887,11 @@ int usage(std::FILE* out, int rc) {
                "--strict escalates degraded results to errors.\n"
                "--threads <n> sizes the shared analysis pool (0 = auto);\n"
                "it overrides OBDREL_THREADS and the `threads` config key.\n"
-               "The `simd` config key (auto|avx2|scalar, default auto)\n"
-               "selects the SIMD kernel dispatch level; it overrides the\n"
-               "OBDREL_SIMD environment variable. The `thermal_sweep` key\n"
-               "(lexicographic|redblack) picks the SOR cell-visit order.\n"
+               "The `simd` config key (auto|avx512|avx2|scalar, default\n"
+               "auto) selects the SIMD kernel dispatch level; it overrides\n"
+               "the OBDREL_SIMD environment variable. The `thermal_sweep`\n"
+               "key (lexicographic|redblack) picks the SOR cell-visit\n"
+               "order.\n"
                "drm run drives the crash-safe DRM service loop from a\n"
                "telemetry trace ('-' reads stdin); --checkpoint-dir makes\n"
                "its state durable and --resume recovers it after a crash.\n"
