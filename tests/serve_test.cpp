@@ -11,8 +11,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chip/design.hpp"
@@ -406,16 +408,47 @@ TEST_F(ServeTest, DeadlinePolicyIsExactAndDefaultOff) {
 }
 
 TEST_F(ServeTest, ProblemKeyReflectsOverrides) {
-  Config base;
-  base.set("design", "c1");
-  const std::string k1 = serve::problem_key(base);
-  EXPECT_EQ(k1, serve::problem_key(base));  // deterministic
-  Config hot = base;
-  hot.set("ambient_c", "60");
-  EXPECT_NE(k1, serve::problem_key(hot));
-  Config tables = base;
-  tables.set("serve_n_gamma", "32");
-  EXPECT_NE(k1, serve::problem_key(tables));  // table shape is identity too
+  const Config base;
+  const std::string k0 = serve::problem_key(base);
+  EXPECT_EQ(k0, serve::problem_key(base));  // deterministic
+  // The default key's bytes name the disk-cache files of every existing
+  // cache directory; they must not drift.
+  EXPECT_EQ(k0,
+            "design=c1;device_density=3000;vdd=1.2;rho_dist=0.5;grid=25;"
+            "ambient_c=45;variance_capture=0.999;eigen_solver=dense;"
+            "thermal_sweep=lexicographic;n_gamma=100;n_b=100");
+
+  // One row per key a request may override with set.<key>=: each must be
+  // accepted and must give a key of its own.
+  const std::vector<std::pair<std::string, std::string>> overrides = {
+      {"design", "c2"},
+      {"device_density", "2500"},
+      {"vdd", "1.1"},
+      {"rho_dist", "0.25"},
+      {"grid", "10"},
+      {"ambient_c", "60"},
+      {"variance_capture", "0.99"},
+      {"eigen_solver", "truncated"},
+      {"thermal_sweep", "redblack"},
+      {"mechanisms", "oxide,nbti"},
+      {"redundancy", "g:blk0+blk1:1"},
+  };
+  std::set<std::string> keys = {k0};
+  for (const auto& [key, value] : overrides) {
+    const serve::Request req =
+        serve::parse_request("id=a t=1e8 set." + key + "=" + value);
+    ASSERT_EQ(req.overrides.size(), 1u) << key;
+    Config cfg = base;
+    for (const auto& [k, v] : req.overrides) cfg.set(k, v);
+    EXPECT_TRUE(keys.insert(serve::problem_key(cfg)).second)
+        << "set." << key << " does not change the problem key";
+  }
+  // Table shape is identity too, though not overridable per request.
+  for (const char* key : {"serve_n_gamma", "serve_n_b"}) {
+    Config cfg = base;
+    cfg.set(key, "32");
+    EXPECT_TRUE(keys.insert(serve::problem_key(cfg)).second) << key;
+  }
 }
 
 // ---------------------------------------------------------------------------
