@@ -1,0 +1,60 @@
+// The config -> problem chain shared by every command and the daemon.
+//
+// The paper's flow runs once per configuration and feeds every method:
+// floorplan and power, the power/thermal fixed point, then PCA and the
+// BLOD moments inside ReliabilityProblem::build (Sections III-IV; PCA is
+// shared preprocessing). The CLI's one-shot commands and the serve
+// engine's cold builds both go through these functions, so a served
+// answer matches `obdrel lut query` on the equivalent config byte for
+// byte.
+//
+// Config keys read here (defaults in parentheses): design (c1),
+// device_density (3000, .flp designs only), vdd (1.2), ambient_c (45),
+// thermal_sweep (lexicographic), rho_dist (0.5), grid (25),
+// variance_capture (0.999), eigen_solver (dense), and the mechanism spec
+// keys read by mech::parse_spec.
+#pragma once
+
+#include <string>
+
+#include "chip/design.hpp"
+#include "common/config.hpp"
+#include "core/device_model.hpp"
+#include "core/problem.hpp"
+#include "thermal/solver.hpp"
+
+namespace obd::core {
+
+/// The design and its converged thermal profile at the configured supply.
+/// `model` is a member because consumers (drm::DrmRuntime,
+/// make_signoff_report) hold a reference to it past the problem build.
+struct Pipeline {
+  chip::Design design;
+  thermal::ThermalProfile profile;
+  AnalyticReliabilityModel model;
+  double vdd = 0.0;
+};
+
+/// Loads the design and runs the power/thermal fixed point (resolution 48,
+/// 2 iterations). Throws Error(kConfig) on a bad thermal_sweep.
+[[nodiscard]] Pipeline run_pipeline(const Config& cfg);
+
+/// Builds the reliability problem (covariance, PCA, per-block parameters)
+/// on `p`'s design and block temperatures. Throws Error(kConfig) on a bad
+/// grid, variance_capture, eigen_solver or mechanism spec.
+[[nodiscard]] ReliabilityProblem build_problem(const Config& cfg,
+                                               const Pipeline& p);
+
+/// The `thermal_sweep` key. Exposed so the CLI can reject a bad value
+/// before any numerics run.
+[[nodiscard]] thermal::SweepOrder parse_thermal_sweep(const Config& cfg);
+
+/// Canonical text of the keys above (without the mechanism spec), with
+/// exact `%.17g` doubles:
+/// `design=…;device_density=…;vdd=…;rho_dist=…;grid=…;ambient_c=…;`
+/// `variance_capture=…;eigen_solver=…;thermal_sweep=…`. The serve and
+/// fleet problem keys extend it; their hashes name durable state, so
+/// these bytes must not change.
+[[nodiscard]] std::string problem_key(const Config& cfg);
+
+}  // namespace obd::core

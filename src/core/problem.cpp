@@ -1,25 +1,10 @@
 #include "core/problem.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hpp"
 
 namespace obd::core {
-namespace {
-
-// FNV-1a 64-bit, matching the serve-cache fingerprint idiom (core cannot
-// depend on serve, so the 8-line hash lives here too).
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 ReliabilityProblem ReliabilityProblem::build(
     const chip::Design& design, const var::VariationBudget& budget,
@@ -85,25 +70,6 @@ ReliabilityProblem ReliabilityProblem::build(
   }
   p.mech_ = std::make_shared<const mech::MechanismStack>(
       options.mechanisms, names, std::move(conditions));
-
-  // Problem identity, rendered exactly once: serve-style consumers used
-  // to re-derive an equivalent key per request/checkpoint frame.
-  std::ostringstream fp;
-  fp.precision(17);
-  fp << "design=" << design.name << ";blocks=" << design.blocks.size()
-     << ";vdd=" << vdd << ";grid=" << options.grid_cells_per_side
-     << ";rho_dist=" << options.rho_dist
-     << ";variance_capture=" << options.variance_capture
-     << ";structure=" << static_cast<int>(options.structure)
-     << ";kernel=" << static_cast<int>(options.kernel)
-     << ";eigen_solver=" << static_cast<int>(options.eigen_solver)
-     << ";nominal=" << budget.nominal
-     << ";mechanisms=" << p.mech_->canonical_spec();
-  for (const BlockParams& bp : p.blocks_)
-    fp << ";" << bp.name << "=" << bp.area << ":" << bp.alpha << ":" << bp.b
-       << ":" << bp.temp_c;
-  p.fingerprint_text_ = fp.str();
-  p.fingerprint_ = fnv1a64(p.fingerprint_text_);
   return p;
 }
 

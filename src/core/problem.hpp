@@ -10,7 +10,6 @@
 // instance, so comparisons are apples-to-apples.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,19 +108,6 @@ class ReliabilityProblem {
     return mech_->canonical_spec();
   }
 
-  /// Canonical identity text of the assembled problem: design, per-block
-  /// reliability parameters, construction options, and the mechanism
-  /// spec, rendered once at build time with fmt17-style exact doubles.
-  [[nodiscard]] const std::string& fingerprint_text() const {
-    return fingerprint_text_;
-  }
-
-  /// FNV-1a 64-bit hash of fingerprint_text(), computed once at build
-  /// time. Two problems with equal fingerprints were built from
-  /// byte-identical inputs (up to hash collision — compare the text when
-  /// exactness matters).
-  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
-
   /// Worst (hottest) block temperature — the guard-band corner.
   [[nodiscard]] double worst_temp_c() const;
 
@@ -143,8 +129,6 @@ class ReliabilityProblem {
   std::vector<BlockParams> blocks_;
   std::shared_ptr<const mech::MechanismStack> mech_ =
       std::make_shared<mech::MechanismStack>();
-  std::string fingerprint_text_;
-  std::uint64_t fingerprint_ = 0;
 };
 
 }  // namespace obd::core

@@ -6,16 +6,12 @@
 #include <sstream>
 #include <utility>
 
-#include "chip/design.hpp"
-#include "chip/floorplan_io.hpp"
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "core/analytic.hpp"
-#include "core/device_model.hpp"
+#include "core/pipeline.hpp"
 #include "mech/spec.hpp"
-#include "power/power.hpp"
-#include "thermal/solver.hpp"
 
 namespace obd::serve {
 namespace {
@@ -52,66 +48,6 @@ double parse_double_field(const std::string& key, const std::string& value) {
     throw Error("serve: field " + key + "='" + value + "' is not a number",
                 ErrorCode::kInvalidInput);
   }
-}
-
-chip::Design load_design(const Config& cfg) {
-  const std::string design = cfg.get_string("design", "c1");
-  if (design == "ev6" || design == "c6") return chip::make_ev6_design();
-  if (design == "manycore") return chip::make_manycore_design();
-  if (design.size() == 2 && design[0] == 'c' && design[1] >= '1' &&
-      design[1] <= '6')
-    return chip::make_benchmark(design[1] - '0');
-  chip::FloorplanLoadOptions opts;
-  opts.device_density = cfg.get_double("device_density", 3000.0);
-  opts.name = design;
-  return chip::load_floorplan_file(design, opts);
-}
-
-thermal::SweepOrder parse_thermal_sweep(const Config& cfg) {
-  const std::string v = cfg.get_string("thermal_sweep", "lexicographic");
-  if (v == "lexicographic") return thermal::SweepOrder::kLexicographic;
-  if (v == "redblack") return thermal::SweepOrder::kRedBlack;
-  throw Error(
-      "thermal_sweep must be 'lexicographic' or 'redblack', got '" + v + "'",
-      ErrorCode::kConfig);
-}
-
-var::EigenSolver parse_eigen_solver(const Config& cfg) {
-  const std::string v = cfg.get_string("eigen_solver", "dense");
-  if (v == "dense") return var::EigenSolver::kDense;
-  if (v == "truncated") return var::EigenSolver::kTruncated;
-  throw Error("eigen_solver must be 'dense' or 'truncated', got '" + v + "'",
-              ErrorCode::kConfig);
-}
-
-/// Materialized evaluation context for one fingerprint: the full
-/// power -> thermal -> problem pipeline on the overridden config (same
-/// semantics as the CLI's one-shot commands, so a served answer matches
-/// `obdrel lut query` on the equivalent config byte for byte).
-std::unique_ptr<core::ReliabilityProblem> build_problem(const Config& cfg) {
-  const chip::Design design = load_design(cfg);
-  const double vdd = cfg.get_double("vdd", 1.2);
-  power::PowerParams pp;
-  pp.vdd = vdd;
-  thermal::ThermalParams tp;
-  tp.ambient_c = cfg.get_double("ambient_c", 45.0);
-  tp.resolution = 48;
-  tp.sweep = parse_thermal_sweep(cfg);
-  const thermal::ThermalProfile profile =
-      thermal::power_thermal_fixed_point(design, pp, tp, 2);
-
-  core::ProblemOptions opts;
-  opts.rho_dist = cfg.get_double("rho_dist", 0.5);
-  opts.grid_cells_per_side = cfg.get_count("grid", 25);
-  opts.variance_capture = cfg.get_double("variance_capture", 0.999);
-  require(opts.variance_capture > 0.0 && opts.variance_capture <= 1.0,
-          ErrorCode::kConfig, "variance_capture must be in (0, 1]");
-  opts.eigen_solver = parse_eigen_solver(cfg);
-  opts.mechanisms = mech::parse_spec(cfg);
-  return std::make_unique<core::ReliabilityProblem>(
-      core::ReliabilityProblem::build(design, var::VariationBudget{},
-                                      core::AnalyticReliabilityModel{},
-                                      profile.block_temps_c, vdd, opts));
 }
 
 /// `surrogate` < 0 omits the field entirely — the tier-off reply is
@@ -213,23 +149,14 @@ std::string problem_key(const Config& cfg) {
 }
 
 std::string problem_key(const Config& cfg, const std::string& mechanisms) {
-  const auto d = [](double v) { return fmt17(v); };
-  std::ostringstream os;
-  os << "design=" << cfg.get_string("design", "c1")
-     << ";device_density=" << d(cfg.get_double("device_density", 3000.0))
-     << ";vdd=" << d(cfg.get_double("vdd", 1.2))
-     << ";rho_dist=" << d(cfg.get_double("rho_dist", 0.5))
-     << ";grid=" << cfg.get_count("grid", 25)
-     << ";ambient_c=" << d(cfg.get_double("ambient_c", 45.0))
-     << ";variance_capture=" << d(cfg.get_double("variance_capture", 0.999))
-     << ";eigen_solver=" << cfg.get_string("eigen_solver", "dense")
-     << ";thermal_sweep=" << cfg.get_string("thermal_sweep", "lexicographic")
-     << ";n_gamma=" << cfg.get_count("serve_n_gamma", 100)
-     << ";n_b=" << cfg.get_count("serve_n_b", 100);
+  std::string key =
+      core::problem_key(cfg) +
+      ";n_gamma=" + std::to_string(cfg.get_count("serve_n_gamma", 100)) +
+      ";n_b=" + std::to_string(cfg.get_count("serve_n_b", 100));
   // Appended only for non-default mechanism specs: seed-era keys (and the
   // disk-tier fingerprints derived from them) stay byte-identical.
-  if (mechanisms != "oxide") os << ";mechanisms=" << mechanisms;
-  return os.str();
+  if (mechanisms != "oxide") key += ";mechanisms=" + mechanisms;
+  return key;
 }
 
 bool deadline_expired(double elapsed_ms, double deadline_ms) {
@@ -342,7 +269,8 @@ std::vector<std::string> QueryEngine::evaluate(
       if (entry == nullptr) {
         // Cold fingerprint: the problem build (thermal + PCA) is needed by
         // every path, exact or degraded.
-        auto problem = build_problem(group.cfg);
+        auto problem = std::make_unique<core::ReliabilityProblem>(
+            core::build_problem(group.cfg, core::run_pipeline(group.cfg)));
 
         // Partition now, against the post-build clock: requests whose
         // deadline has already expired get the analytic approximation

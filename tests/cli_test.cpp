@@ -152,7 +152,8 @@ TEST_F(CliTest, BadDeviceSamplingIsAConfigErrorNamingTheKey) {
     out << "grid 6\nmc_chips 4\ndevice_sampling bogus\n";
   }
   for (const std::string& cmd :
-       {"analyze " + cfg, "fleet " + cfg + " --chips 4"}) {
+       {"analyze " + cfg, "fleet " + cfg + " --chips 4", "thermal " + cfg,
+        "serve " + cfg + " --stdin </dev/null"}) {
     const CmdResult r = run(cmd);
     EXPECT_EQ(r.status, 2) << cmd << "\n" << r.err;
     EXPECT_NE(r.err.find("device_sampling"), std::string::npos)

@@ -513,8 +513,8 @@ TEST(Arena, StatsAreCumulative) {
 }
 
 // ------------------------------------------------------------------------
-// Cached canonical rendering and fingerprint (satellite pin: the cached
-// values equal a fresh recomputation)
+// Cached canonical rendering (the cached value equals a fresh
+// recomputation)
 
 TEST_F(IncrementalFixture, CachedCanonicalEqualsRecomputed) {
   EXPECT_EQ(oxide_->mechanism_canonical(),
@@ -522,28 +522,6 @@ TEST_F(IncrementalFixture, CachedCanonicalEqualsRecomputed) {
   EXPECT_EQ(all_->mechanism_canonical(),
             all_->mechanisms().spec().canonical());
   EXPECT_NE(oxide_->mechanism_canonical(), all_->mechanism_canonical());
-}
-
-TEST_F(IncrementalFixture, FingerprintMatchesHashOfTextAndIsStable) {
-  // Recompute FNV-1a 64 over the cached text; the stored hash must match.
-  auto fnv1a64 = [](const std::string& s) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  };
-  EXPECT_EQ(oxide_->fingerprint(), fnv1a64(oxide_->fingerprint_text()));
-  EXPECT_EQ(all_->fingerprint(), fnv1a64(all_->fingerprint_text()));
-  // Same inputs -> same fingerprint; a different spec -> different one.
-  core::ProblemOptions opts;
-  opts.grid_cells_per_side = 10;
-  const auto again = core::ReliabilityProblem::build(
-      *design_, var::VariationBudget{}, *model_, *temps_, 1.2, opts);
-  EXPECT_EQ(again.fingerprint(), oxide_->fingerprint());
-  EXPECT_EQ(again.fingerprint_text(), oxide_->fingerprint_text());
-  EXPECT_NE(all_->fingerprint(), oxide_->fingerprint());
 }
 
 }  // namespace

@@ -132,8 +132,6 @@
 #include <string>
 #include <vector>
 
-#include "chip/design.hpp"
-#include "chip/floorplan_io.hpp"
 #include "common/arena.hpp"
 #include "common/config.hpp"
 #include "common/diagnostics.hpp"
@@ -146,6 +144,7 @@
 #include "core/hybrid.hpp"
 #include "core/lifetime.hpp"
 #include "core/montecarlo.hpp"
+#include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "drm/manager.hpp"
 #include "drm/runtime.hpp"
@@ -158,7 +157,6 @@
 #include "serve/server.hpp"
 #include "surrogate/surrogate.hpp"
 #include "simd/dispatch.hpp"
-#include "thermal/solver.hpp"
 
 namespace {
 
@@ -202,56 +200,6 @@ double parse_time_seconds(const std::string& arg) {
   return t;
 }
 
-chip::Design load_design(const Config& cfg) {
-  const std::string design = cfg.get_string("design", "c1");
-  if (design == "ev6" || design == "c6") return chip::make_ev6_design();
-  if (design == "manycore") return chip::make_manycore_design();
-  if (design.size() == 2 && design[0] == 'c' && design[1] >= '1' &&
-      design[1] <= '6')
-    return chip::make_benchmark(design[1] - '0');
-  chip::FloorplanLoadOptions opts;
-  opts.device_density = cfg.get_double("device_density", 3000.0);
-  opts.name = design;
-  return chip::load_floorplan_file(design, opts);
-}
-
-thermal::SweepOrder parse_thermal_sweep(const Config& cfg) {
-  const std::string v = cfg.get_string("thermal_sweep", "lexicographic");
-  if (v == "lexicographic") return thermal::SweepOrder::kLexicographic;
-  if (v == "redblack") return thermal::SweepOrder::kRedBlack;
-  throw Error(
-      "thermal_sweep must be 'lexicographic' or 'redblack', got '" + v + "'",
-      ErrorCode::kConfig);
-}
-
-struct Pipeline {
-  chip::Design design;
-  thermal::ThermalProfile profile;
-  core::AnalyticReliabilityModel model;
-  double vdd;
-};
-
-Pipeline run_pipeline(const Config& cfg) {
-  Pipeline p{load_design(cfg), {}, core::AnalyticReliabilityModel{},
-             cfg.get_double("vdd", 1.2)};
-  power::PowerParams pp;
-  pp.vdd = p.vdd;
-  thermal::ThermalParams tp;
-  tp.ambient_c = cfg.get_double("ambient_c", 45.0);
-  tp.resolution = 48;
-  tp.sweep = parse_thermal_sweep(cfg);
-  p.profile = thermal::power_thermal_fixed_point(p.design, pp, tp, 2);
-  return p;
-}
-
-var::EigenSolver parse_eigen_solver(const Config& cfg) {
-  const std::string v = cfg.get_string("eigen_solver", "dense");
-  if (v == "dense") return var::EigenSolver::kDense;
-  if (v == "truncated") return var::EigenSolver::kTruncated;
-  throw Error("eigen_solver must be 'dense' or 'truncated', got '" + v + "'",
-              ErrorCode::kConfig);
-}
-
 core::DeviceSampling parse_device_sampling(const Config& cfg,
                                           const char* fallback) {
   const std::string v = cfg.get_string("device_sampling", fallback);
@@ -260,27 +208,6 @@ core::DeviceSampling parse_device_sampling(const Config& cfg,
   throw Error(
       "device_sampling must be 'per_device' or 'binned', got '" + v + "'",
       ErrorCode::kConfig);
-}
-
-core::ReliabilityProblem build_problem(const Config& cfg,
-                                       const Pipeline& p) {
-  core::ProblemOptions opts;
-  opts.rho_dist = cfg.get_double("rho_dist", 0.5);
-  // get_count rejects zero/negative values instead of letting them wrap
-  // through size_t into absurd grid sizes.
-  opts.grid_cells_per_side = cfg.get_count("grid", 25);
-  opts.variance_capture = cfg.get_double("variance_capture", 0.999);
-  require(opts.variance_capture > 0.0 && opts.variance_capture <= 1.0,
-          ErrorCode::kConfig, "variance_capture must be in (0, 1]");
-  opts.eigen_solver = parse_eigen_solver(cfg);
-  opts.mechanisms = mech::parse_spec(cfg);
-  // Validate device_sampling here too so a bad value fails with the config
-  // exit code in every command, not only the ones that build an MC
-  // analyzer (which re-read it at the use site).
-  (void)parse_device_sampling(cfg, "per_device");
-  return core::ReliabilityProblem::build(p.design, var::VariationBudget{},
-                                         p.model, p.profile.block_temps_c,
-                                         p.vdd, opts);
 }
 
 // Surrogate fast-path configuration (shared by `serve` and the fleet
@@ -307,7 +234,7 @@ surrogate::SurrogateOptions surrogate_options_from(const Config& cfg) {
 }
 
 int cmd_thermal(const Config& cfg) {
-  const Pipeline p = run_pipeline(cfg);
+  const core::Pipeline p = core::run_pipeline(cfg);
   const auto power = power::estimate_power(p.design, {.vdd = p.vdd},
                                            p.profile.block_temps_c);
   std::printf("design %s: %zu blocks, %zu devices, %.1f W\n",
@@ -323,8 +250,8 @@ int cmd_thermal(const Config& cfg) {
 }
 
 int cmd_analyze(const Config& cfg) {
-  const Pipeline p = run_pipeline(cfg);
-  const auto problem = build_problem(cfg, p);
+  const core::Pipeline p = core::run_pipeline(cfg);
+  const auto problem = core::build_problem(cfg, p);
   std::set<std::string> methods;
   {
     std::istringstream is(
@@ -385,8 +312,8 @@ int cmd_analyze(const Config& cfg) {
 }
 
 int cmd_report(const Config& cfg) {
-  const Pipeline p = run_pipeline(cfg);
-  const auto problem = build_problem(cfg, p);
+  const core::Pipeline p = core::run_pipeline(cfg);
+  const auto problem = core::build_problem(cfg, p);
   const auto report = core::make_signoff_report(
       problem, p.model, cfg.get_doubles("targets", {1e-6, 1e-5}));
   std::fputs(report.render().c_str(), stdout);
@@ -395,8 +322,8 @@ int cmd_report(const Config& cfg) {
 
 int cmd_lut(const Config& cfg, const std::string& action,
             const std::string& lut_path, const char* t_arg) {
-  const Pipeline p = run_pipeline(cfg);
-  const auto problem = build_problem(cfg, p);
+  const core::Pipeline p = core::run_pipeline(cfg);
+  const auto problem = core::build_problem(cfg, p);
   if (action == "build") {
     const core::HybridEvaluator hybrid(problem);
     std::ofstream out(lut_path);
@@ -486,8 +413,8 @@ std::vector<double> read_telemetry(std::istream& in) {
 
 int cmd_drm_run(const Config& cfg, const std::string& telemetry_path,
                 drm::RuntimeOptions ropts) {
-  const Pipeline p = run_pipeline(cfg);
-  const auto problem = build_problem(cfg, p);
+  const core::Pipeline p = core::run_pipeline(cfg);
+  const auto problem = core::build_problem(cfg, p);
 
   drm::DrmOptions dopts;
   dopts.lifetime_target_s = cfg.get_double("lifetime_years", 10.0) * kYear;
@@ -581,27 +508,13 @@ struct FleetFlags {
 // build or the sampler — folded into the fleet fingerprint so durable
 // state from a different model configuration is rejected, not merged.
 std::string fleet_problem_key(const Config& cfg) {
-  const auto d = [](double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
-  std::ostringstream os;
-  os << "design=" << cfg.get_string("design", "c1")
-     << ";device_density=" << d(cfg.get_double("device_density", 3000.0))
-     << ";vdd=" << d(cfg.get_double("vdd", 1.2))
-     << ";rho_dist=" << d(cfg.get_double("rho_dist", 0.5))
-     << ";grid=" << cfg.get_count("grid", 25)
-     << ";ambient_c=" << d(cfg.get_double("ambient_c", 45.0))
-     << ";variance_capture=" << d(cfg.get_double("variance_capture", 0.999))
-     << ";eigen_solver=" << cfg.get_string("eigen_solver", "dense")
-     << ";thermal_sweep=" << cfg.get_string("thermal_sweep", "lexicographic")
-     << ";device_sampling=" << cfg.get_string("device_sampling", "binned");
+  std::string key = core::problem_key(cfg) + ";device_sampling=" +
+                    cfg.get_string("device_sampling", "binned");
   // Appended only for non-default specs so existing fleet state
   // directories keep matching their problem keys byte for byte.
   const std::string mechanisms = mech::parse_spec(cfg).canonical();
-  if (mechanisms != "oxide") os << ";mechanisms=" << mechanisms;
-  return os.str();
+  if (mechanisms != "oxide") key += ";mechanisms=" + mechanisms;
+  return key;
 }
 
 fleet::FleetSpec make_fleet_spec(const Config& cfg, std::uint64_t chips) {
@@ -736,8 +649,8 @@ int cmd_fleet(const Config& cfg, const std::string& cfg_path,
           "fleet: --chips must be a positive chip count");
   require(ff.shards >= 1, ErrorCode::kConfig,
           "fleet: --shards must be at least 1");
-  const Pipeline p = run_pipeline(cfg);
-  const auto problem = build_problem(cfg, p);
+  const core::Pipeline p = core::run_pipeline(cfg);
+  const auto problem = core::build_problem(cfg, p);
   const fleet::FleetSpec spec = make_fleet_spec(cfg, ff.chips);
 
   if (ff.worker >= 0) {
@@ -921,9 +834,12 @@ void apply_runtime_options(const Config& cfg, bool strict_flag,
   set_strict_mode(strict_flag || cfg.get_bool("strict", false));
   if (cfg.has("faults")) fault::arm(cfg.get_string("faults"));
   if (cfg.has("simd")) simd::configure(cfg.get_string("simd"));
-  // Validate thermal_sweep here so a bad value fails with the config exit
-  // code in every command, not only the ones that run the thermal solve.
-  (void)parse_thermal_sweep(cfg);
+  // Validate thermal_sweep and device_sampling here so a bad value fails
+  // with the config exit code in every command, not only the ones that run
+  // the thermal solve or build an MC sampler (which re-read them at the
+  // use site).
+  (void)core::parse_thermal_sweep(cfg);
+  (void)parse_device_sampling(cfg, "per_device");
   if (threads_flag >= 0) {
     par::set_threads(static_cast<std::size_t>(threads_flag));
   } else if (cfg.has("threads")) {
