@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cerrno>
+#include <cinttypes>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -77,6 +78,21 @@ std::uint32_t crc32(const void* data, std::size_t size) {
 
 std::uint32_t crc32(const std::string& data) {
   return crc32(data.data(), data.size());
+}
+
+std::uint64_t fnv1a64(const std::string& data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // offset basis
+  for (const unsigned char c : data) {
+    h ^= c;
+    h *= 0x100000001b3ull;  // FNV prime
+  }
+  return h;
+}
+
+std::string hex_u64(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+  return buf;
 }
 
 void write_snapshot_atomic(const std::string& path, std::uint32_t version,

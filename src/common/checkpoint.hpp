@@ -33,6 +33,14 @@ namespace obd::ckpt {
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size);
 [[nodiscard]] std::uint32_t crc32(const std::string& data);
 
+/// FNV-1a 64-bit hash of `data`: the fingerprint behind DRM checkpoints,
+/// fleet shard records and serve disk-cache file names.
+[[nodiscard]] std::uint64_t fnv1a64(const std::string& data);
+
+/// `v` as 16 zero-padded lowercase hex digits, the on-disk form of a
+/// fingerprint in DRM checkpoints and fleet shard records.
+[[nodiscard]] std::string hex_u64(std::uint64_t v);
+
 /// A decoded snapshot: schema version (caller-defined) plus payload bytes.
 struct Snapshot {
   std::uint32_t version = 0;

@@ -37,22 +37,6 @@ bool parse_double(const std::string& token, double* out) {
   return end == token.c_str() + token.size();
 }
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 bool parse_hex_u64(const std::string& token, std::uint64_t* out) {
   if (token.empty()) return false;
   char* end = nullptr;
@@ -78,7 +62,7 @@ std::uint64_t compute_fingerprint(const std::vector<OperatingPoint>& ladder,
   // their fingerprints (a mechanism change must refuse foreign state —
   // the damage-state layout differs).
   if (mechanisms != "oxide") canon << "mechanisms " << mechanisms << '\n';
-  return fnv1a(canon.str());
+  return ckpt::fnv1a64(canon.str());
 }
 
 }  // namespace
@@ -134,7 +118,7 @@ std::string DrmRuntime::journal_prev_path() const {
 
 std::string DrmRuntime::encode_snapshot() const {
   std::ostringstream out;
-  out << "fp " << hex_u64(fingerprint_) << '\n'
+  out << "fp " << ckpt::hex_u64(fingerprint_) << '\n'
       << "step " << step_count_ << '\n'
       << "elapsed " << fmt_double(mgr_.elapsed_s()) << '\n'
       << "rung " << mgr_.last_op_index() << '\n'
@@ -148,7 +132,7 @@ std::string DrmRuntime::encode_snapshot() const {
 
 std::string DrmRuntime::encode_record(const JournalRecord& rec) const {
   std::ostringstream out;
-  out << "fp " << hex_u64(rec.fingerprint) << " step " << rec.step
+  out << "fp " << ckpt::hex_u64(rec.fingerprint) << " step " << rec.step
       << " rung " << rec.outcome.op_index << " deg "
       << (rec.outcome.degraded ? 1 : 0) << " act "
       << fmt_double(rec.activity) << " elapsed " << fmt_double(rec.elapsed_s)

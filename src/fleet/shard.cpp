@@ -33,21 +33,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 // Strict token parsers: return false on any malformed field.
 bool parse_u64(const std::string& tok, std::uint64_t* out) {
   if (tok.empty()) return false;
@@ -98,7 +83,7 @@ std::uint64_t fleet_fingerprint(const FleetSpec& spec) {
      << "\nts " << spec.ts.size();
   for (const double t : spec.ts) os << ' ' << fmt_double(t);
   os << "\nkey " << spec.problem_key << "\n";
-  return fnv1a(os.str());
+  return ckpt::fnv1a64(os.str());
 }
 
 std::uint64_t chunk_count(const FleetSpec& spec) {
@@ -134,7 +119,7 @@ std::string encode_chunk_record(std::uint64_t fingerprint,
                                 const ChunkResult& r) {
   std::ostringstream os;
   os << "chunk " << r.chunk << " chips " << r.chips << " fp "
-     << hex_u64(fingerprint) << " nt " << r.sum_f.size();
+     << ckpt::hex_u64(fingerprint) << " nt " << r.sum_f.size();
   for (const double v : r.sum_f) os << ' ' << fmt_double(v);
   for (const double v : r.sum_f2) os << ' ' << fmt_double(v);
   return os.str();

@@ -34,12 +34,7 @@ void quarantine(const std::string& path) {
 }  // namespace
 
 std::uint64_t fingerprint(const std::string& key) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (const unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+  return ckpt::fnv1a64(key);
 }
 
 std::string cache_file_path(const std::string& dir, std::uint64_t fp) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
@@ -75,6 +76,16 @@ TEST(FmtCount, MatchesPaperStyle) {
   EXPECT_EQ(fmt_count(840000), "0.84M");
   EXPECT_EQ(fmt_count(100000), "0.1M");
   EXPECT_EQ(fmt_count(999), "999");
+}
+
+// Durable fingerprints (DRM checkpoints, fleet shards, serve cache names)
+// are these bytes; the reference vectors pin the FNV-1a constants.
+TEST(Fnv1a64, MatchesReferenceVectorsAndRendersZeroPaddedHex) {
+  EXPECT_EQ(ckpt::fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(ckpt::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(ckpt::fnv1a64("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(ckpt::hex_u64(0xabcdull), "000000000000abcd");
+  EXPECT_EQ(ckpt::hex_u64(0xcbf29ce484222325ull), "cbf29ce484222325");
 }
 
 }  // namespace
