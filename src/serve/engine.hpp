@@ -87,9 +87,9 @@ struct Request {
 [[nodiscard]] Request parse_request(const std::string& line);
 
 /// Canonical identity of everything that shapes the evaluation context:
-/// the problem-shaping config keys (with request overrides applied) plus
-/// the serve-table dimensions. Equal strings <=> interchangeable cached
-/// tables.
+/// core::problem_key (with request overrides applied), the serve-table
+/// dimensions, and the mechanism spec when it is not oxide-only. Equal
+/// strings <=> interchangeable cached tables.
 [[nodiscard]] std::string problem_key(const Config& cfg);
 
 /// Same, with the canonical mechanism rendering supplied by the caller
