@@ -22,6 +22,9 @@
 namespace obd::serve {
 namespace {
 
+// Longest idle wait between stop-flag checks [ms].
+constexpr int kIdlePollMs = 200;
+
 // Writes `line` + '\n' to `fd`, retrying short writes. A failed write —
 // typically a client that hung up before its reply — is reported to the
 // caller but is never fatal: the reply was produced, delivery is
@@ -221,9 +224,12 @@ int Server::run() {
       for (const auto& [fd, buffer] : clients)
         fds.push_back({fd, POLLIN, 0});
     }
-    // Block only when idle; with work queued just glance at the fds so
+    // Wait only when idle; with work queued just glance at the fds so
     // ingest (and thus shedding) stays current while batches evaluate.
-    const int timeout_ms = pending.empty() ? -1 : 0;
+    // The idle wait is bounded: a stop signal whose handler runs after
+    // the stop-flag check above, or on another thread, does not interrupt
+    // this poll, so the flag is rechecked at least every kIdlePollMs.
+    const int timeout_ms = pending.empty() ? kIdlePollMs : 0;
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;  // re-check the stop flag
