@@ -4,8 +4,10 @@
 // measures the answer path, not loopback I/O) over a small fingerprint
 // population:
 //
-//   1. cold builds — one table build per fingerprint (the price a cache
-//      miss pays),
+//   1. cold builds — the price a cache miss pays. The fingerprints differ
+//      only in ambient_c, so the first pays the full problem and table
+//      build and the rest only the thermal stage plus a copy of its
+//      tables (they share its variation stage),
 //   2. steady-state latency — single-query round trips through
 //      parse -> cache hit -> batched table evaluation, reported as
 //      p50/p99 microseconds,
@@ -82,7 +84,8 @@ int main() {
               "%zux%zu tables.\n\n",
               queries, fps, table_n, table_n / 2);
 
-  // 1. Cold builds: first touch of each fingerprint fills its tables.
+  // 1. Cold builds: first touch of each fingerprint. The first fills its
+  // tables; the others share its variation stage and copy them.
   Stopwatch cold_sw;
   for (std::size_t k = 0; k < fps; ++k)
     (void)engine.evaluate({make_query("warm", ts[0], k)});

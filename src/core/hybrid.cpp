@@ -157,6 +157,28 @@ HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
       options_(std::move(options)),
       tables_(std::move(tables)) {}
 
+HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
+                                 const HybridEvaluator& same_variation)
+    : HybridEvaluator(problem, same_variation.options_,
+                      same_variation.tables_) {
+  const ReliabilityProblem& donor = same_variation.problem();
+  require(&problem.canonical() == &donor.canonical(),
+          "HybridEvaluator: tables can only be shared within one variation "
+          "stage");
+  require(problem.blocks().size() == tables_.size(),
+          "HybridEvaluator: block count does not match the tables");
+  for (std::size_t j = 0; j < tables_.size(); ++j) {
+    const BlockParams& mine = problem.blocks()[j];
+    const BlockParams& theirs = donor.blocks()[j];
+    require(mine.name == theirs.name,
+            "HybridEvaluator: block name mismatch at index " +
+                std::to_string(j));
+    require(std::fabs(mine.area - theirs.area) <=
+                1e-9 * std::max(1.0, theirs.area),
+            "HybridEvaluator: block area mismatch for '" + mine.name + "'");
+  }
+}
+
 void HybridEvaluator::save(std::ostream& out) const {
   out << "obdrel-hybrid-lut 1\n";
   out << tables_.size() << ' ' << options_.n_gamma << ' ' << options_.n_b

@@ -5,7 +5,10 @@
 // integral is precomputed once on an n_alpha x n_b grid over those indices
 // (100 x 100 in the paper); any later query — any time stamp, any
 // temperature/voltage profile, i.e., any (alpha_j, b_j) — is answered by
-// bilinear interpolation. This gives the further 2 orders of magnitude
+// bilinear interpolation. The tables depend only on each block's BLOD
+// moments and area, i.e. on the variation stage of the problem (see
+// core::variation_key), so problems that differ only in their operating
+// point can share one set. This gives the further 2 orders of magnitude
 // speedup of Table III and enables embedding "into a dynamic system for
 // reliability monitoring that usually requires very fast response".
 #pragma once
@@ -41,6 +44,14 @@ class HybridEvaluator {
   /// O(N * n_gamma * n_b * l0^2); queries are O(N).
   explicit HybridEvaluator(const ReliabilityProblem& problem,
                            const HybridOptions& options = {});
+
+  /// Binds a copy of `same_variation`'s tables to `problem`, which must
+  /// share its variation stage (ReliabilityProblem::with_operating_point:
+  /// same canonical form, block names and areas). The tables depend only
+  /// on the BLOD moments and block areas, so the result is bit-identical
+  /// to building them on `problem`, at the cost of a copy.
+  HybridEvaluator(const ReliabilityProblem& problem,
+                  const HybridEvaluator& same_variation);
 
   /// Failure probability at t with the problem's own (alpha_j, b_j).
   [[nodiscard]] double failure_probability(double t) const;

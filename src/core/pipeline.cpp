@@ -24,6 +24,13 @@ chip::Design load_design(const Config& cfg) {
   return chip::load_floorplan_file(design, opts);
 }
 
+/// Round-trip-exact rendering of a key double.
+std::string fmt17(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 var::EigenSolver parse_eigen_solver(const Config& cfg) {
   const std::string v = cfg.get_string("eigen_solver", "dense");
   if (v == "dense") return var::EigenSolver::kDense;
@@ -71,22 +78,37 @@ ReliabilityProblem build_problem(const Config& cfg, const Pipeline& p) {
                                    p.profile.block_temps_c, p.vdd, opts);
 }
 
+ReliabilityProblem build_problem(const Config& cfg, const Pipeline& p,
+                                 const ReliabilityProblem& same_variation) {
+  return ReliabilityProblem::with_operating_point(
+      same_variation, p.model, p.profile.block_temps_c, p.vdd,
+      mech::parse_spec(cfg));
+}
+
 std::string problem_key(const Config& cfg) {
-  const auto d = [](double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   std::ostringstream os;
   os << "design=" << cfg.get_string("design", "c1")
-     << ";device_density=" << d(cfg.get_double("device_density", 3000.0))
-     << ";vdd=" << d(cfg.get_double("vdd", 1.2))
-     << ";rho_dist=" << d(cfg.get_double("rho_dist", 0.5))
+     << ";device_density=" << fmt17(cfg.get_double("device_density", 3000.0))
+     << ";vdd=" << fmt17(cfg.get_double("vdd", 1.2))
+     << ";rho_dist=" << fmt17(cfg.get_double("rho_dist", 0.5))
      << ";grid=" << cfg.get_count("grid", 25)
-     << ";ambient_c=" << d(cfg.get_double("ambient_c", 45.0))
-     << ";variance_capture=" << d(cfg.get_double("variance_capture", 0.999))
+     << ";ambient_c=" << fmt17(cfg.get_double("ambient_c", 45.0))
+     << ";variance_capture="
+     << fmt17(cfg.get_double("variance_capture", 0.999))
      << ";eigen_solver=" << cfg.get_string("eigen_solver", "dense")
      << ";thermal_sweep=" << cfg.get_string("thermal_sweep", "lexicographic");
+  return os.str();
+}
+
+std::string variation_key(const Config& cfg) {
+  std::ostringstream os;
+  os << "design=" << cfg.get_string("design", "c1")
+     << ";device_density=" << fmt17(cfg.get_double("device_density", 3000.0))
+     << ";rho_dist=" << fmt17(cfg.get_double("rho_dist", 0.5))
+     << ";grid=" << cfg.get_count("grid", 25)
+     << ";variance_capture="
+     << fmt17(cfg.get_double("variance_capture", 0.999))
+     << ";eigen_solver=" << cfg.get_string("eigen_solver", "dense");
   return os.str();
 }
 

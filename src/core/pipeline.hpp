@@ -13,6 +13,13 @@
 // thermal_sweep (lexicographic), rho_dist (0.5), grid (25),
 // variance_capture (0.999), eigen_solver (dense), and the mechanism spec
 // keys read by mech::parse_spec.
+//
+// Two keys name what the chain builds. problem_key covers every key
+// above but the mechanism spec; it identifies a whole problem and names
+// durable state. variation_key covers only the keys of the variation stage
+// (covariance, PCA, layout, BLOD moments); configs that share it differ
+// only in their operating point, so the serve engine builds the variation
+// stage once for all of them.
 #pragma once
 
 #include <string>
@@ -45,6 +52,17 @@ struct Pipeline {
 [[nodiscard]] ReliabilityProblem build_problem(const Config& cfg,
                                                const Pipeline& p);
 
+/// Builds only the operating-point stage of the problem `cfg` describes
+/// (per-block alpha, b, T from `p`, and the mechanism spec), reusing
+/// `same_variation`'s variation stage; see
+/// ReliabilityProblem::with_operating_point. `same_variation` must have
+/// been built from a config with the same variation_key; the result is
+/// then bit-identical to build_problem(cfg, p). Throws Error(kConfig) on a
+/// bad mechanism spec.
+[[nodiscard]] ReliabilityProblem build_problem(
+    const Config& cfg, const Pipeline& p,
+    const ReliabilityProblem& same_variation);
+
 /// The `thermal_sweep` key. Exposed so the CLI can reject a bad value
 /// before any numerics run.
 [[nodiscard]] thermal::SweepOrder parse_thermal_sweep(const Config& cfg);
@@ -56,5 +74,15 @@ struct Pipeline {
 /// fleet problem keys extend it; their hashes name durable state, so
 /// these bytes must not change.
 [[nodiscard]] std::string problem_key(const Config& cfg);
+
+/// Canonical text of the variation-stage keys only, in the same rendering:
+/// `design=…;device_density=…;rho_dist=…;grid=…;variance_capture=…;`
+/// `eigen_solver=…`. Two configs with equal variation keys build the same
+/// grid, canonical form, layout and BLOD moments, so one problem's
+/// variation stage (and the hybrid tables on it, which depend only on the
+/// BLOD moments and block areas) serves both. vdd, ambient_c,
+/// thermal_sweep, mechanisms and redundancy feed only the thermal stage,
+/// alpha_j/b_j and the mechanism stack, and are left out.
+[[nodiscard]] std::string variation_key(const Config& cfg);
 
 }  // namespace obd::core

@@ -122,12 +122,21 @@ TableCache::TableCache(CacheOptions options) : options_(std::move(options)) {
   }
 }
 
-CacheEntry* TableCache::find(std::uint64_t fp) {
+CacheEntry* TableCache::find(std::uint64_t fp, const std::string& key) {
   const auto it = index_.find(fp);
-  if (it == index_.end()) return nullptr;
+  if (it == index_.end() || it->second->key != key) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
   return &*it->second;
+}
+
+const CacheEntry* TableCache::find_donor(const std::string& variation_key) {
+  for (const CacheEntry& entry : lru_) {
+    if (entry.variation_key != variation_key) continue;
+    ++stats_.shared_builds;
+    return &entry;
+  }
+  return nullptr;
 }
 
 std::optional<core::HybridEvaluator> TableCache::load_disk(
@@ -164,6 +173,7 @@ CacheEntry* TableCache::insert(CacheEntry entry) {
     index_.erase(it);
   }
   bytes_ += entry.bytes;
+  entry.serial = next_serial_++;
   lru_.push_front(std::move(entry));
   index_[lru_.front().fp] = lru_.begin();
   evict_to_budget();

@@ -221,7 +221,7 @@ std::vector<std::string> QueryEngine::evaluate(
   for (auto& [key, group] : groups) {
     const std::uint64_t fp = fingerprint(key);
     try {
-      CacheEntry* entry = cache_.find(fp);
+      CacheEntry* entry = cache_.find(fp, key);
       // -1 omits the surrogate reply field entirely: with the tier off
       // every reply is byte-identical to an engine that never had it.
       const int flag_exact = options_.surrogate ? 0 : -1;
@@ -267,10 +267,19 @@ std::vector<std::string> QueryEngine::evaluate(
       }
 
       if (entry == nullptr) {
-        // Cold fingerprint: the problem build (thermal + PCA) is needed by
-        // every path, exact or degraded.
+        // Cold fingerprint: the problem build is needed by every path,
+        // exact or degraded. The thermal stage always runs; a resident
+        // entry with the same variation key donates the variation stage
+        // (canonical form, layout, BLOD moments) and later its tables, so
+        // only a fingerprint new in geometry or variation pays the
+        // covariance, the eigensolve and the table fill.
+        const core::Pipeline pipeline = core::run_pipeline(group.cfg);
+        std::string variation_key = core::variation_key(group.cfg);
+        const CacheEntry* donor = cache_.find_donor(variation_key);
         auto problem = std::make_unique<core::ReliabilityProblem>(
-            core::build_problem(group.cfg, core::run_pipeline(group.cfg)));
+            donor != nullptr
+                ? core::build_problem(group.cfg, pipeline, *donor->problem)
+                : core::build_problem(group.cfg, pipeline));
 
         // Partition now, against the post-build clock: requests whose
         // deadline has already expired get the analytic approximation
@@ -304,7 +313,8 @@ std::vector<std::string> QueryEngine::evaluate(
         }
         if (exact.empty()) continue;  // nothing left to build tables for
 
-        // Disk tier first; only a true miss pays the table fill.
+        // Disk tier first; on a true miss the donor's tables are copied,
+        // and only a miss without a donor pays the table fill.
         core::HybridOptions hopts;
         hopts.n_gamma = options_.n_gamma;
         hopts.n_b = options_.n_b;
@@ -314,11 +324,16 @@ std::vector<std::string> QueryEngine::evaluate(
               std::make_unique<core::HybridEvaluator>(std::move(*loaded));
         } else {
           cache_.record_miss();
-          hybrid = std::make_unique<core::HybridEvaluator>(*problem, hopts);
+          hybrid = donor != nullptr
+                       ? std::make_unique<core::HybridEvaluator>(
+                             *problem, *donor->hybrid)
+                       : std::make_unique<core::HybridEvaluator>(*problem,
+                                                                 hopts);
         }
         CacheEntry fresh;
         fresh.key = key;
         fresh.fp = fp;
+        fresh.variation_key = std::move(variation_key);
         fresh.bytes = entry_bytes(problem->blocks().size(), hopts.n_gamma,
                                   hopts.n_b);
         fresh.problem = std::move(problem);
@@ -453,10 +468,11 @@ core::ConditionEvaluator& QueryEngine::session_evaluator(
   // correctness is unaffected).
   if (per_fp.size() >= 8 && per_fp.find(fp) == per_fp.end()) per_fp.clear();
   SessionEval& se = per_fp[fp];
-  if (se.eval == nullptr || se.hybrid != entry.hybrid.get()) {
+  if (se.eval == nullptr || se.serial != entry.serial) {
     // First touch, or the cache evicted and rebuilt this entry — the old
-    // evaluator would dangle on the freed tables.
-    se.hybrid = entry.hybrid.get();
+    // evaluator would dangle on the freed problem and tables, even when
+    // the rebuilt ones landed at the same addresses.
+    se.serial = entry.serial;
     se.eval = std::make_unique<core::ConditionEvaluator>(*entry.hybrid);
   }
   return *se.eval;

@@ -308,7 +308,8 @@ int Server::run() {
           << ", errors " << es.errors + stats_.parse_errors << ", shed "
           << stats_.shed << "); cache hits " << cs.hits << ", disk hits "
           << cs.disk_hits << ", misses " << cs.misses << ", evictions "
-          << cs.evictions << ", corrupt " << cs.corrupt;
+          << cs.evictions << ", corrupt " << cs.corrupt << ", shared builds "
+          << cs.shared_builds;
   diagnostics().stat("serve", summary.str());
   std::fprintf(stderr, "serve: drained; %s%s\n", summary.str().c_str(),
                flushed ? "" : " (disk cache flush incomplete)");

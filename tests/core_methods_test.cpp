@@ -3,8 +3,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "chip/design.hpp"
+#include "common/config.hpp"
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
 #include "core/analytic.hpp"
@@ -12,6 +17,7 @@
 #include "core/hybrid.hpp"
 #include "core/lifetime.hpp"
 #include "core/montecarlo.hpp"
+#include "mech/spec.hpp"
 
 namespace obd::core {
 namespace {
@@ -373,6 +379,133 @@ TEST_F(MethodsFixture, FailureCurveIsLogSpacedAndMonotone) {
     EXPECT_GT(curve[i].time_s, curve[i - 1].time_s);
     EXPECT_GE(curve[i].failure, curve[i - 1].failure - 1e-15);
   }
+}
+
+// The operating-point stage on a shared variation stage must reproduce a
+// full build at the new operating point bit for bit, and must not depend
+// on its donor staying alive.
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0;
+  std::uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+std::string tables_text(const HybridEvaluator& h) {
+  std::ostringstream out;
+  h.save(out);
+  return out.str();
+}
+
+TEST(OperatingPointStage, MatchesAFullBuildBitForBitAndOutlivesItsDonor) {
+  const chip::Design design = chip::make_synthetic_design(
+      "T1", {.devices = 30000, .block_count = 6, .die_width = 6.0,
+             .die_height = 6.0, .seed = 77});
+  const AnalyticReliabilityModel model;
+  ProblemOptions opts;
+  opts.grid_cells_per_side = 10;
+  const std::vector<double> t1 = {95.0, 70.0, 58.0, 82.0, 64.0, 75.0};
+  const std::vector<double> t2 = {61.0, 88.5, 47.25, 70.0, 99.0, 55.5};
+  Config mech_cfg;
+  mech_cfg.set("mechanisms", "oxide,nbti,em");
+  const mech::MechanismSpec spec2 = mech::parse_spec(mech_cfg);
+  ProblemOptions opts2 = opts;
+  opts2.mechanisms = spec2;
+
+  auto donor = std::make_unique<ReliabilityProblem>(ReliabilityProblem::build(
+      design, var::VariationBudget{}, model, t1, 1.2, opts));
+  const ReliabilityProblem want = ReliabilityProblem::build(
+      design, var::VariationBudget{}, model, t2, 1.1, opts2);
+  const ReliabilityProblem got =
+      ReliabilityProblem::with_operating_point(*donor, model, t2, 1.1, spec2);
+
+  EXPECT_EQ(&got.canonical(), &donor->canonical());
+  EXPECT_EQ(&got.grid(), &donor->grid());
+  EXPECT_TRUE(same_bits(got.vdd(), 1.1));
+  EXPECT_EQ(got.mechanism_canonical(), want.mechanism_canonical());
+  EXPECT_EQ(got.options().mechanisms.canonical(), spec2.canonical());
+  EXPECT_EQ(got.options().grid_cells_per_side, opts.grid_cells_per_side);
+  ASSERT_EQ(got.blocks().size(), want.blocks().size());
+  for (std::size_t j = 0; j < got.blocks().size(); ++j) {
+    const BlockParams& g = got.blocks()[j];
+    const BlockParams& w = want.blocks()[j];
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_TRUE(same_bits(g.area, w.area)) << j;
+    EXPECT_TRUE(same_bits(g.alpha, w.alpha)) << j;
+    EXPECT_TRUE(same_bits(g.b, w.b)) << j;
+    EXPECT_TRUE(same_bits(g.temp_c, w.temp_c)) << j;
+    EXPECT_TRUE(same_bits(g.blod.u_nominal(), w.blod.u_nominal())) << j;
+    EXPECT_TRUE(same_bits(g.blod.u_sigma(), w.blod.u_sigma())) << j;
+    EXPECT_EQ(g.blod.u_sensitivities(), w.blod.u_sensitivities()) << j;
+    EXPECT_TRUE(same_bits(g.blod.v_mean(), w.blod.v_mean())) << j;
+    EXPECT_TRUE(same_bits(g.blod.v_variance(), w.blod.v_variance())) << j;
+    EXPECT_TRUE(same_bits(g.blod.v_third_central_moment(),
+                          w.blod.v_third_central_moment()))
+        << j;
+    ASSERT_EQ(g.blod.v_degenerate(), w.blod.v_degenerate()) << j;
+    for (const double q : {1e-6, 0.3, 0.5, 0.999}) {
+      EXPECT_TRUE(same_bits(g.blod.u_marginal().quantile(q),
+                            w.blod.u_marginal().quantile(q)))
+          << j;
+      if (!g.blod.v_degenerate())
+        EXPECT_TRUE(same_bits(g.blod.v_marginal().quantile(q),
+                              w.blod.v_marginal().quantile(q)))
+            << j;
+    }
+  }
+
+  HybridOptions small;
+  small.n_gamma = 24;
+  small.n_b = 16;
+  auto donor_tables = std::make_unique<HybridEvaluator>(*donor, small);
+  const HybridEvaluator shared(got, *donor_tables);
+  const HybridEvaluator built(want, small);
+  EXPECT_EQ(tables_text(shared), tables_text(built));
+
+  // Destroy the donor: the recipient's BLOD moments still reach the
+  // canonical form (v_value dereferences it), and both evaluators answer
+  // exactly as the full build does.
+  donor_tables.reset();
+  donor.reset();
+  const la::Vector z(got.canonical().pc_count(), 0.5);
+  for (std::size_t j = 0; j < got.blocks().size(); ++j)
+    EXPECT_TRUE(same_bits(got.blocks()[j].blod.v_value(z),
+                          want.blocks()[j].blod.v_value(z)))
+        << j;
+  for (const double t : {3.15e8, 1e9, 4e9}) {
+    EXPECT_TRUE(same_bits(shared.failure_probability(t),
+                          built.failure_probability(t)))
+        << t;
+    EXPECT_TRUE(same_bits(AnalyticAnalyzer(got).failure_probability(t),
+                          AnalyticAnalyzer(want).failure_probability(t)))
+        << t;
+  }
+}
+
+TEST(OperatingPointStage, TablesAreSharedOnlyWithinOneVariationStage) {
+  const chip::Design design = chip::make_synthetic_design(
+      "T1", {.devices = 20000, .block_count = 4, .die_width = 4.0,
+             .die_height = 4.0, .seed = 5});
+  const AnalyticReliabilityModel model;
+  ProblemOptions opts;
+  opts.grid_cells_per_side = 6;
+  const std::vector<double> temps(design.blocks.size(), 80.0);
+  const ReliabilityProblem a = ReliabilityProblem::build(
+      design, var::VariationBudget{}, model, temps, 1.2, opts);
+  const ReliabilityProblem b = ReliabilityProblem::build(
+      design, var::VariationBudget{}, model, temps, 1.2, opts);
+  HybridOptions small;
+  small.n_gamma = 4;
+  small.n_b = 4;
+  const HybridEvaluator tables(a, small);
+  EXPECT_THROW(HybridEvaluator(b, tables), obd::Error);
+  EXPECT_THROW((void)ReliabilityProblem::with_operating_point(
+                   a, model, std::vector<double>(1, 80.0), 1.2, {}),
+               obd::Error);
+  EXPECT_THROW((void)ReliabilityProblem::with_operating_point(
+                   a, model, temps, 0.0, {}),
+               obd::Error);
 }
 
 TEST(MethodsErrors, RejectBadArguments) {
