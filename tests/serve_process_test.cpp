@@ -237,6 +237,33 @@ TEST_F(ServeProcessTest, StdinModeAnswersEveryRequestExactlyOnce) {
   EXPECT_EQ(luts, 1u);
 }
 
+TEST_F(ServeProcessTest, DrainSummaryCountsSharedBuildsAndHealthIsUnchanged) {
+  const std::string qfile = dir_ + "/q.txt";
+  std::ofstream(qfile) << "id=a t=1e8\n"
+                          "id=b t=1e8 set.ambient_c=60\n"
+                          "op=health id=hb\n";
+  const CmdResult r = serve_stdin("shared", qfile, dir_ + "/cache");
+  ASSERT_EQ(r.status, 0) << err("shared");
+  // The ambient fingerprint took the base fingerprint's variation stage;
+  // it is still a miss, since neither tier held its tables.
+  EXPECT_NE(err("shared").find("misses 2, evictions 0, corrupt 0, "
+                               "shared builds 1"),
+            std::string::npos)
+      << err("shared");
+  // The health reply carries no new field: it still ends at
+  // write_failures.
+  EXPECT_EQ(r.out.find("shared"), std::string::npos) << r.out;
+  std::size_t health = 0;
+  for (const auto& l : lines_of(r.out)) {
+    if (l.rfind("id=hb ", 0) != 0) continue;
+    ++health;
+    const std::string tail = " write_failures=0";
+    ASSERT_GE(l.size(), tail.size()) << l;
+    EXPECT_EQ(l.substr(l.size() - tail.size()), tail) << l;
+  }
+  EXPECT_EQ(health, 1u) << r.out;
+}
+
 // ---------------------------------------------------------------------------
 // Overload: a tiny admission queue sheds deterministically, and shed
 // requests still get their one reply
