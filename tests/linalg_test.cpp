@@ -219,6 +219,45 @@ TEST(EigenSymmetric, GoldenDigestsOfSmallestSizes) {
   EXPECT_EQ(eigen_digest(eigen_symmetric(two)), 0x580261c9534052f1ull);
 }
 
+// Seeded random symmetric matrix with entries uniform in [-1, 1).
+Matrix random_symmetric(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j)
+      a(i, j) = a(j, i) = rng.uniform(-1.0, 1.0);
+  return a;
+}
+
+// Sizes 2..17 cover every remainder of the solver's vector widths and row
+// blocks; 100 covers several full blocks at once. Recorded from the scalar
+// tred2/tql2 loops, so any reordering of a rounding shows here.
+TEST(EigenSymmetric, GoldenDigestsOfRandomSymmetric) {
+  const std::uint64_t digests[] = {
+      0x0be898a9eb4dc1a7ull, 0xbd6410877d3f68d4ull, 0x7fcfc7a0aabc2e51ull,
+      0xcfadfc805f5f0773ull, 0xdcb9bb69b185bd0full, 0xdd9b73f9a08585b0ull,
+      0x6829a8e29efa2753ull, 0x8a9169b45e1d1280ull, 0x7a6767e7dac36625ull,
+      0xfeb573449adcdb7full, 0x27eb8b7782c2024eull, 0x31ee5a03cb3e14e8ull,
+      0x412067faf2b33e13ull, 0xdd8e4d0ab5695874ull, 0xe47ad8e4fb025487ull,
+      0x0fab6d82ab031400ull};
+  for (std::size_t n = 2; n <= 17; ++n) {
+    const std::uint64_t d =
+        eigen_digest(eigen_symmetric(random_symmetric(n, 1000 + n)));
+    EXPECT_EQ(d, digests[n - 2]) << "n = " << n << std::hex << ": 0x" << d;
+  }
+  const std::uint64_t d100 =
+      eigen_digest(eigen_symmetric(random_symmetric(100, 1100)));
+  EXPECT_EQ(d100, 0xf228acea5c420ca0ull) << std::hex << "0x" << d100;
+}
+
+// Grid 32 (n = 1024) is the covariance size of the fine-grid sign-off.
+TEST(EigenSymmetric, GoldenDigestOfGrid32Covariance) {
+  const var::GridModel grid(10.0, 10.0, 32);
+  const Matrix cov = var::build_covariance(grid, var::VariationBudget{}, 0.5);
+  const std::uint64_t d = eigen_digest(eigen_symmetric(cov));
+  EXPECT_EQ(d, 0x56ea344dd2298ef0ull) << std::hex << "0x" << d;
+}
+
 TEST(Cholesky, FactorsAndSolves) {
   // SPD matrix A = L0 L0^T for a known L0.
   Matrix a(3, 3);
