@@ -10,6 +10,8 @@
 //   matmul (GEMM)     bit-identical
 //   gram_aat (SYRK)   bit-identical
 //   clenshaw_batch    bit-identical (FNV checksum equality)
+//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect
+//                     bit-identical (FNV checksum equality)
 //
 // On top of the exactness gates, each lap gates the per-kernel tier that
 // "auto" dispatch composes (simd::kernel_level): the picked tier's
@@ -108,6 +110,51 @@ void gate_auto(const char* name, Lap& lap, obd::simd::KernelId id,
 }
 
 volatile double g_sink = 0.0;  // keeps the optimizer honest across reps
+
+// One lap of a bit-identical kernel: `run(table)` runs all reps from the
+// same start state and returns the checksum of the final state, and every
+// available vector tier must reproduce the scalar checksum. When the
+// AVX-512 table serves the AVX2 function (`avx512_is_avx2`), that tier is
+// the same code: it gets the AVX2 timing instead of a second run, so
+// host jitter between two runs of one function cannot fail the auto-tier
+// gate.
+template <typename Run>
+Lap bitwise_lap(const char* name, const std::string& shape, Run run,
+                bool avx2, bool avx512, bool avx512_is_avx2) {
+  Lap lap;
+  obd::Stopwatch sw;
+  const std::uint64_t cs_s = run(obd::simd::detail::kScalarKernels);
+  lap.seconds_scalar = sw.seconds();
+  if (avx2) {
+    sw.reset();
+    const std::uint64_t cs = run(obd::simd::detail::kAvx2Kernels);
+    lap.seconds_avx2 = sw.seconds();
+    lap.speedup = lap.seconds_scalar / lap.seconds_avx2;
+    if (cs != cs_s) lap.pass = false;
+  }
+  if (avx512 && avx512_is_avx2) {
+    lap.seconds_avx512 = lap.seconds_avx2;
+    lap.speedup_avx512 = lap.speedup;
+  } else if (avx512) {
+    sw.reset();
+    const std::uint64_t cs = run(obd::simd::detail::kAvx512Kernels);
+    lap.seconds_avx512 = sw.seconds();
+    lap.speedup_avx512 = lap.seconds_scalar / lap.seconds_avx512;
+    if (cs != cs_s) lap.pass = false;
+  }
+  std::printf("[%s] %s: scalar %.3f s, avx2 %.3f s (%.1fx), avx512 %.3f s "
+              "(%.1fx), bitwise %s\n",
+              name, shape.c_str(), lap.seconds_scalar, lap.seconds_avx2,
+              lap.speedup, lap.seconds_avx512, lap.speedup_avx512,
+              lap.pass ? "IDENTICAL" : "DIFFER");
+  return lap;
+}
+
+std::uint64_t checksum(const std::vector<double>& v) {
+  BitChecksum cs;
+  for (const double x : v) cs.add(x);
+  return cs.value;
+}
 
 }  // namespace
 
@@ -402,6 +449,67 @@ int main() {
                 clen.pass ? "IDENTICAL" : "DIFFER");
   }
 
+  // ------------------------------------------------ eigensolver kernels ----
+  // Grid-32 row length. The rotation, rank-2 and reflection laps feed
+  // each call's output into the next, so a bit that drifts in any call
+  // carries into the final checksum.
+  const std::size_t en = 1024;
+  std::vector<double> rows(2 * en);
+  for (double& x : rows) x = rng.normal();
+  Lap rotate = bitwise_lap(
+      "tql2_rotate", "n=" + std::to_string(en) + " x 100000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> z = rows;
+        for (std::size_t r = 0; r < 100000 * scale; ++r)
+          t.tql2_rotate(z.data(), z.data() + en, 0.6, -0.8, en);
+        return checksum(z);
+      },
+      avx2, avx512, w.tql2_rotate == v.tql2_rotate);
+
+  // An m x m lower triangle with u as row m, as tred2 calls the kernels.
+  const std::size_t em = 256;
+  std::vector<double> tri((em + 1) * en);
+  for (double& x : tri) x = rng.normal();
+  const double* tri_u = tri.data() + em * en;
+  Lap symv = bitwise_lap(
+      "tred2_symv", "m=" + std::to_string(em) + " x 4000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> e(em);
+        for (std::size_t r = 0; r < 4000 * scale; ++r) {
+          t.tred2_symv(tri.data(), en, tri_u, em, e.data());
+          g_sink = e[0];
+        }
+        return checksum(e);
+      },
+      avx2, avx512, w.tred2_symv == v.tred2_symv);
+  Lap rank2 = bitwise_lap(
+      "tred2_rank2", "m=" + std::to_string(em) + " x 4000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> a = tri;
+        std::vector<double> e(tri.begin(), tri.begin() + em);
+        for (std::size_t r = 0; r < 4000 * scale; ++r)
+          t.tred2_rank2(a.data(), en, a.data() + em * en, 1e-3, em,
+                        e.data());
+        return checksum(a) ^ checksum(e);
+      },
+      avx2, avx512, w.tred2_rank2 == v.tred2_rank2);
+  // w = 2u / |u|^2 makes each call a Householder reflection, so repeated
+  // calls stay bounded.
+  double unorm = 0.0;
+  for (std::size_t k = 0; k < em; ++k) unorm += tri_u[k] * tri_u[k];
+  std::vector<double> refl_w(em);
+  for (std::size_t k = 0; k < em; ++k) refl_w[k] = 2.0 * tri_u[k] / unorm;
+  Lap reflect = bitwise_lap(
+      "tred2_reflect", "m=" + std::to_string(em) + " x 2000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> a = tri;
+        for (std::size_t r = 0; r < 2000 * scale; ++r)
+          t.tred2_reflect(a.data(), en, em, a.data() + em * en,
+                          refl_w.data(), em);
+        return checksum(a);
+      },
+      avx2, avx512, w.tred2_reflect == v.tred2_reflect);
+
   // Per-kernel auto-tier gates against this run's own timings.
   std::printf("\n");
   simd::configure("auto");
@@ -414,11 +522,18 @@ int main() {
   gate_auto("gram_aat", gram, simd::KernelId::kGramAat, avx2, avx512);
   gate_auto("clenshaw_batch", clen, simd::KernelId::kClenshawBatch, avx2,
             avx512);
+  gate_auto("tql2_rotate", rotate, simd::KernelId::kTql2Rotate, avx2,
+            avx512);
+  gate_auto("tred2_symv", symv, simd::KernelId::kTred2Symv, avx2, avx512);
+  gate_auto("tred2_rank2", rank2, simd::KernelId::kTred2Rank2, avx2, avx512);
+  gate_auto("tred2_reflect", reflect, simd::KernelId::kTred2Reflect, avx2,
+            avx512);
 
-  const bool pass = fill.pass && dot.pass && cdf.pass && gemm.pass &&
-                    gram.pass && clen.pass && fill.auto_pass &&
-                    dot.auto_pass && cdf.auto_pass && gemm.auto_pass &&
-                    gram.auto_pass && clen.auto_pass;
+  bool pass = true;
+  for (const Lap* lap :
+       {&fill, &dot, &cdf, &gemm, &gram, &clen, &rotate, &symv, &rank2,
+        &reflect})
+    pass = pass && lap->pass && lap->auto_pass;
   std::printf("\nexactness + auto-tier gates %s\n", pass ? "PASS" : "FAIL");
 
   std::string dir = csv_output_dir();
@@ -449,7 +564,11 @@ int main() {
   emit("normal_cdf_batch", cdf);
   emit("matmul", gemm);
   emit("gram_aat", gram);
-  emit("clenshaw_batch", clen, true);
+  emit("clenshaw_batch", clen);
+  emit("tql2_rotate", rotate);
+  emit("tred2_symv", symv);
+  emit("tred2_rank2", rank2);
+  emit("tred2_reflect", reflect, true);
   out << "}\n";
   std::printf("(wrote %s)\n", path.c_str());
   return pass ? 0 : 1;

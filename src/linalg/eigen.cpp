@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/fault_injection.hpp"
+#include "simd/kernels.hpp"
 
 namespace obd::la {
 namespace {
@@ -18,8 +19,11 @@ namespace {
 // Every element sees the floating-point operations of tred2 in tred2's
 // order; only the loop nesting differs, so that the inner loops walk rows
 // of the row-major matrix instead of stride-n columns. Keeping Q^T instead
-// of Q is what turns the accumulation into row sweeps.
-void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
+// of Q is what turns the accumulation into row sweeps. The O(n^3) loop
+// nests run through the dispatched kernels, which keep that order bit for
+// bit at every SIMD level (simd/kernels.hpp).
+void tridiagonalize(Matrix& a, Vector& d, Vector& e,
+                    const simd::KernelTable& kt) {
   const std::size_t n = a.rows();
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
@@ -42,26 +46,14 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
         // e[j] = (A u)_j / h from the stored lower triangle, read by rows:
         // row k supplies the k' <= k dot of e[k] and the term k of every
         // e[j] with j < k, so each e[j] still sums in ascending k.
-        for (std::size_t k = 0; k <= l; ++k) {
-          g = 0.0;
-          for (std::size_t j = 0; j < k; ++j) {
-            g += a(k, j) * a(i, j);
-            e[j] += a(k, j) * a(i, k);
-          }
-          e[k] = g + a(k, k) * a(i, k);
-        }
+        kt.tred2_symv(a.row(0), n, a.row(i), i, e.data());
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
           e[j] /= h;
           f += e[j] * a(i, j);
         }
         const double hh = f / (h + h);
-        for (std::size_t j = 0; j <= l; ++j) {
-          f = a(i, j);
-          e[j] = g = e[j] - hh * f;
-          for (std::size_t k = 0; k <= j; ++k)
-            a(j, k) -= f * e[k] + g * a(i, k);
-        }
+        kt.tred2_rank2(a.row(0), n, a.row(i), hh, i, e.data());
       }
     } else {
       e[i] = a(i, l);
@@ -75,13 +67,8 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
   Vector w(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0 && d[i] != 0.0) {
-      const std::size_t l = i - 1;
-      for (std::size_t k = 0; k <= l; ++k) w[k] = a(i, k) / d[i];
-      for (std::size_t j = 0; j <= l; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k <= l; ++k) g += a(i, k) * a(j, k);
-        for (std::size_t k = 0; k <= l; ++k) a(j, k) -= g * w[k];
-      }
+      for (std::size_t k = 0; k < i; ++k) w[k] = a(i, k) / d[i];
+      kt.tred2_reflect(a.row(0), n, i, a.row(i), w.data(), i);
     }
     d[i] = a(i, i);
     a(i, i) = 1.0;
@@ -100,7 +87,8 @@ double hypot2(double a, double b) { return std::hypot(a, b); }
 // tql2). `d` holds the diagonal, `e` the subdiagonal; eigenvectors are
 // accumulated into the rows of `zt` (which should enter holding the
 // tridiagonalizing Q^T), so each rotation updates two contiguous rows.
-void ql_implicit(Vector& d, Vector& e, Matrix& zt) {
+void ql_implicit(Vector& d, Vector& e, Matrix& zt,
+                 const simd::KernelTable& kt) {
   const std::size_t n = d.size();
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
@@ -143,11 +131,7 @@ void ql_implicit(Vector& d, Vector& e, Matrix& zt) {
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        for (std::size_t k = 0; k < n; ++k) {
-          f = zt(i + 1, k);
-          zt(i + 1, k) = s * zt(i, k) + c * f;
-          zt(i, k) = c * zt(i, k) - s * f;
-        }
+        kt.tql2_rotate(zt.row(i), zt.row(i + 1), c, s, n);
       }
       if (r == 0.0 && m > l + 1) continue;
       d[l] -= p;
@@ -188,8 +172,9 @@ EigenDecomposition eigen_symmetric(const Matrix& a) {
     d[0] = zt(0, 0);
     zt(0, 0) = 1.0;
   } else {
-    tridiagonalize(zt, d, e);
-    ql_implicit(d, e, zt);
+    const simd::KernelTable& kt = simd::kernels();
+    tridiagonalize(zt, d, e, kt);
+    ql_implicit(d, e, zt, kt);
   }
 
   // Sort eigenpairs by descending eigenvalue.

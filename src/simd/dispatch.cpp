@@ -1,7 +1,9 @@
 #include "simd/dispatch.hpp"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
@@ -30,24 +32,37 @@ void store(Level level, bool forced) {
   g_level.store(static_cast<int>(level), std::memory_order_release);
 }
 
-// Per-kernel ceiling applied under "auto", indexed by KernelId. Wider is
-// not always faster: BENCH_simd.json measures the dot_counts AVX-512
-// variant *slower* than AVX2 (0.068s vs 0.043s on the bench workload) —
-// the kernel is load-bound and the fold of each 512-bit product back into
-// the four 256-bit accumulator lanes costs two extracts plus two adds per
-// eight elements, which AVX2 simply doesn't pay. Every other kernel wins
-// at the widest tier. bench/simd_kernels.cpp gates that the tier `auto`
-// picks per kernel stays within tolerance of the fastest measured tier,
-// so a regression here (or a ratio flip on new hardware) fails the bench.
-constexpr Level kAutoCap[] = {
-    Level::kAvx512,  // fill_bin_factors
-    Level::kAvx2,    // dot_counts (see above)
-    Level::kAvx512,  // normal_cdf_batch
-    Level::kAvx512,  // matmul
-    Level::kAvx512,  // matvec
-    Level::kAvx512,  // gram_aat
-    Level::kAvx512,  // clenshaw_batch
+// Per-kernel ceiling applied under "auto", indexed by KernelId, with the
+// kernel's name for the simd.level stat. Wider is not always faster:
+// BENCH_simd.json measures the dot_counts AVX-512 variant *slower* than
+// AVX2 (0.068s vs 0.043s on the bench workload) — the kernel is
+// load-bound and the fold of each 512-bit product back into the four
+// 256-bit accumulator lanes costs two extracts plus two adds per eight
+// elements, which AVX2 simply doesn't pay. The eigensolver kernels have
+// no AVX-512 variant (that table serves the AVX2 ones), so their cap
+// names the tier that actually runs. Every other kernel wins at the
+// widest tier. bench/simd_kernels.cpp gates that the tier `auto` picks
+// per kernel stays within tolerance of the fastest measured tier, so a
+// regression here (or a ratio flip on new hardware) fails the bench.
+struct AutoCap {
+  const char* kernel;
+  Level cap;
 };
+constexpr AutoCap kAutoCap[] = {
+    {"fill_bin_factors", Level::kAvx512},
+    {"dot_counts", Level::kAvx2},  // see above
+    {"normal_cdf_batch", Level::kAvx512},
+    {"matmul", Level::kAvx512},
+    {"matvec", Level::kAvx512},
+    {"gram_aat", Level::kAvx512},
+    {"clenshaw_batch", Level::kAvx512},
+    {"tql2_rotate", Level::kAvx2},
+    {"tred2_symv", Level::kAvx2},
+    {"tred2_rank2", Level::kAvx2},
+    {"tred2_reflect", Level::kAvx2},
+};
+static_assert(std::size(kAutoCap) ==
+              static_cast<std::size_t>(KernelId::kTred2Reflect) + 1);
 
 // Whole-level table, guarded by what is compiled in (the alias tables are
 // scalar copies on non-ISA builds, but going through the macros keeps the
@@ -64,7 +79,7 @@ const KernelTable& level_table(Level level) {
 }
 
 Level capped(Level widest, KernelId id) {
-  const Level cap = kAutoCap[static_cast<int>(id)];
+  const Level cap = kAutoCap[static_cast<int>(id)].cap;
   return static_cast<int>(cap) < static_cast<int>(widest) ? cap : widest;
 }
 
@@ -80,6 +95,13 @@ KernelTable compose_auto(Level widest) {
   t.gram_aat = level_table(capped(widest, KernelId::kGramAat)).gram_aat;
   t.clenshaw_batch =
       level_table(capped(widest, KernelId::kClenshawBatch)).clenshaw_batch;
+  t.tql2_rotate =
+      level_table(capped(widest, KernelId::kTql2Rotate)).tql2_rotate;
+  t.tred2_symv = level_table(capped(widest, KernelId::kTred2Symv)).tred2_symv;
+  t.tred2_rank2 =
+      level_table(capped(widest, KernelId::kTred2Rank2)).tred2_rank2;
+  t.tred2_reflect =
+      level_table(capped(widest, KernelId::kTred2Reflect)).tred2_reflect;
   return t;
 }
 
@@ -117,8 +139,9 @@ bool can_use_avx2() {
 
 bool can_use_avx512() {
 #if defined(OBDREL_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
+  // The AVX-512 table serves the AVX2 eigensolver kernels too.
   return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq");
+         __builtin_cpu_supports("avx512dq") && can_use_avx2();
 #else
   return false;
 #endif
@@ -202,9 +225,12 @@ void publish_level() {
   if (!g_forced.load(std::memory_order_relaxed)) {
     // Name the kernels "auto" pulled below the widest tier, so the stat
     // line shows the effective per-kernel selection, not just the level.
-    if (kernel_level(KernelId::kDotCounts) != level)
-      line += std::string(", dot_counts=") +
-              to_string(kernel_level(KernelId::kDotCounts));
+    for (std::size_t id = 0; id < std::size(kAutoCap); ++id) {
+      const Level tier = capped(level, static_cast<KernelId>(id));
+      if (tier != level)
+        line += std::string(", ") + kAutoCap[id].kernel + "=" +
+                to_string(tier);
+    }
   }
   std::string caps = " (";
   caps += can_use_avx512() ? "avx512f+dq available" : "avx512f+dq unavailable";

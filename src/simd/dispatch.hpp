@@ -12,10 +12,12 @@
 // Under "auto" the *table* composition is per kernel, not per level: a
 // kernel whose widest variant measures slower than a narrower one (see
 // kAutoCap in dispatch.cpp — today dot_counts, whose AVX-512 fold is
-// load-bound and loses to AVX2) is capped at the faster tier, while every
-// other kernel still gets the widest variant. active_level() continues to
-// report the widest resolved tier (that is what "auto" selected);
-// kernel_level() reports the tier actually serving one kernel. An
+// load-bound and loses to AVX2) is capped at the faster tier, and so is a
+// kernel with no variant of that width (the eigensolver kernels, whose
+// AVX-512 entries are the AVX2 ones); every other kernel still gets the
+// widest variant. active_level() continues to report the widest
+// resolved tier (that is what "auto" selected); kernel_level() reports
+// the tier actually serving one kernel. An
 // explicit level — configure("avx512"), OBDREL_SIMD=<level>, or
 // set_level() — is forced: the whole uncomposed table of that level is
 // used, caps ignored, so forced runs exercise exactly one tier.
@@ -46,6 +48,10 @@ enum class KernelId {
   kMatvec,
   kGramAat,
   kClenshawBatch,
+  kTql2Rotate,
+  kTred2Symv,
+  kTred2Rank2,
+  kTred2Reflect,
 };
 
 /// "scalar", "avx2" or "avx512".
@@ -56,7 +62,8 @@ const char* to_string(Level level);
 bool can_use_avx2();
 
 /// True when the AVX-512 kernels are compiled in AND the CPU supports
-/// AVX-512F + AVX-512DQ. False on non-x86 builds or with
+/// AVX-512F + AVX-512DQ, and can_use_avx2() holds (the AVX-512 table
+/// serves the AVX2 eigensolver kernels). False on non-x86 builds or with
 /// OBDREL_ENABLE_AVX512=OFF.
 bool can_use_avx512();
 

@@ -60,6 +60,20 @@
 //                     and the scalar tail repeats the same sequence, so
 //                     lane width never changes any rounding. The
 //                     surrogate layer's certified envelopes rely on this.
+//   tql2_rotate,      bit-identical across ALL levels AND to the EISPACK
+//   tred2_symv,       tred2/tql2 loops of la::eigen_symmetric they
+//   tred2_rank2,      replaced: every element sees the same separate
+//   tred2_reflect     mul/add/sub (never FMA) in the same order. Vector
+//                     lanes only ever hold independent elements or
+//                     independent dot chains: tql2_rotate, tred2_rank2 and
+//                     the update half of tred2_reflect run 4-wide along a
+//                     row; the dots of tred2_symv (4 rows) and
+//                     tred2_reflect (8 rows) put one row per lane behind a
+//                     4x4 transpose of the products, so each dot still
+//                     sums in ascending index from 0.0; tred2_symv's
+//                     e[j] += terms come in ascending row order, and its
+//                     4x4 diagonal corner runs in scalar order. The
+//                     AVX-512 table serves the AVX2 variants.
 #pragma once
 
 #include <cstddef>
@@ -109,6 +123,29 @@ struct KernelTable {
   /// (see contract above).
   void (*clenshaw_batch)(const double* coeffs, std::size_t n, std::size_t m,
                          double u, double* out);
+  /// tql2's plane rotation of two rows: for k in [0, n), with f = y[k],
+  /// y[k] = s*x[k] + c*f and x[k] = c*x[k] - s*f. x and y must not
+  /// overlap.
+  void (*tql2_rotate)(double* x, double* y, double c, double s,
+                      std::size_t n);
+  /// tred2's e loop, e = A u from the lower triangle of the row-major
+  /// m x m block `a` (row stride lda): for k in [0, m), g = sum_{j<k}
+  /// a(k,j)*u[j] from 0.0 in ascending j while e[j] += a(k,j)*u[k], then
+  /// e[k] = g + a(k,k)*u[k]. `u` may be a row of `a` below the block;
+  /// `e` (m doubles) must not overlap `a`.
+  void (*tred2_symv)(const double* a, std::size_t lda, const double* u,
+                     std::size_t m, double* e);
+  /// tred2's rank-2 update: for j in [0, m), g = e[j] - hh*u[j] is stored
+  /// to e[j], then a(j,k) -= u[j]*e[k] + g*u[k] for k <= j. `u` may be a
+  /// row of `a` below the block; `e` must not overlap `a`.
+  void (*tred2_rank2)(double* a, std::size_t lda, const double* u,
+                      double hh, std::size_t m, double* e);
+  /// tred2's transform accumulation, a Householder reflection of `rows`
+  /// rows of `a` (row stride lda): per row j, g = sum_k u[k]*a(j,k) from
+  /// 0.0 in ascending k over [0, len), then a(j,k) -= g*w[k]. `u` and `w`
+  /// must not overlap the rows updated.
+  void (*tred2_reflect)(double* a, std::size_t lda, std::size_t rows,
+                        const double* u, const double* w, std::size_t len);
 };
 
 /// The table for the active dispatch level (lazily resolved from
@@ -122,6 +159,18 @@ extern const KernelTable kScalarKernels;
 // dispatch never selects a level the CPU cannot run.
 extern const KernelTable kAvx2Kernels;
 extern const KernelTable kAvx512Kernels;
+
+// The AVX2 eigensolver kernels, which the AVX-512 table serves as well
+// (that tier has no variant of its own). Defined only in builds that
+// compile the AVX2 tier; the AVX-512 tier is only compiled alongside it.
+void tql2_rotate_avx2(double* x, double* y, double c, double s,
+                      std::size_t n);
+void tred2_symv_avx2(const double* a, std::size_t lda, const double* u,
+                     std::size_t m, double* e);
+void tred2_rank2_avx2(double* a, std::size_t lda, const double* u, double hh,
+                      std::size_t m, double* e);
+void tred2_reflect_avx2(double* a, std::size_t lda, std::size_t rows,
+                        const double* u, const double* w, std::size_t len);
 }  // namespace detail
 
 }  // namespace obd::simd

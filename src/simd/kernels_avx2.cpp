@@ -358,14 +358,208 @@ void clenshaw_batch_avx2(const double* coeffs, std::size_t n, std::size_t m,
   }
 }
 
+// ---------------------------------------------------------------------
+// Eigensolver kernels (tred2/tql2). The contract is bit-identity with the
+// scalar loops, so every product is rounded before its add or sub, and a
+// lane only ever holds an independent element or an independent dot
+// chain.
+
+// In: four product vectors p_r = [x_r(k) .. x_r(k+3)] of rows r = 0..3.
+// Out: p_c = [x_0(k+c) .. x_3(k+c)], the four rows' terms at column k + c.
+inline void transpose4(__m256d& p0, __m256d& p1, __m256d& p2, __m256d& p3) {
+  const __m256d t0 = _mm256_unpacklo_pd(p0, p1);
+  const __m256d t1 = _mm256_unpackhi_pd(p0, p1);
+  const __m256d t2 = _mm256_unpacklo_pd(p2, p3);
+  const __m256d t3 = _mm256_unpackhi_pd(p2, p3);
+  p0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+  p1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+  p2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+  p3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+// acc lane r += x_r(k) * u(k) for k = k0 .. k0+3 in ascending k, one lane
+// per row: the four rows' dots advance together, each in its own order.
+inline __m256d add_row_terms(__m256d acc, const double* r0, std::size_t lda,
+                             __m256d uk) {
+  __m256d p0 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0));
+  __m256d p1 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0 + lda));
+  __m256d p2 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0 + 2 * lda));
+  __m256d p3 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0 + 3 * lda));
+  transpose4(p0, p1, p2, p3);
+  acc = _mm256_add_pd(acc, p0);
+  acc = _mm256_add_pd(acc, p1);
+  acc = _mm256_add_pd(acc, p2);
+  return _mm256_add_pd(acc, p3);
+}
+
+// out[r] = sum_k u[k] * a(r, k) over [0, len) from 0.0 in ascending k,
+// for kGroups * 4 rows. Two groups keep two independent add chains in
+// flight.
+template <std::size_t kGroups>
+void dots_rows(const double* a, std::size_t lda, const double* u,
+               std::size_t len, double* out) {
+  __m256d acc[kGroups];
+  for (std::size_t g = 0; g < kGroups; ++g) acc[g] = _mm256_setzero_pd();
+  std::size_t k = 0;
+  for (; k + 4 <= len; k += 4) {
+    const __m256d uk = _mm256_loadu_pd(u + k);
+    for (std::size_t g = 0; g < kGroups; ++g)
+      acc[g] = add_row_terms(acc[g], a + 4 * g * lda + k, lda, uk);
+  }
+  for (std::size_t g = 0; g < kGroups; ++g)
+    _mm256_storeu_pd(out + 4 * g, acc[g]);
+  for (; k < len; ++k)
+    for (std::size_t r = 0; r < 4 * kGroups; ++r)
+      out[r] += u[k] * a[r * lda + k];
+}
+
+// row[k] -= g * w[k]: independent elements, 4-wide.
+inline void sub_scaled(double* row, double g, const double* w,
+                       std::size_t len) {
+  const __m256d vg = _mm256_set1_pd(g);
+  std::size_t k = 0;
+  for (; k + 4 <= len; k += 4)
+    _mm256_storeu_pd(row + k,
+                     _mm256_sub_pd(_mm256_loadu_pd(row + k),
+                                   _mm256_mul_pd(vg, _mm256_loadu_pd(w + k))));
+  for (; k < len; ++k) row[k] -= g * w[k];
+}
+
 }  // namespace
 
 namespace detail {
 
+void tql2_rotate_avx2(double* x, double* y, double c, double s,
+                      std::size_t n) {
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vs = _mm256_set1_pd(s);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + k);
+    const __m256d yv = _mm256_loadu_pd(y + k);
+    _mm256_storeu_pd(y + k, _mm256_add_pd(_mm256_mul_pd(vs, xv),
+                                          _mm256_mul_pd(vc, yv)));
+    _mm256_storeu_pd(x + k, _mm256_sub_pd(_mm256_mul_pd(vc, xv),
+                                          _mm256_mul_pd(vs, yv)));
+  }
+  for (; k < n; ++k) {
+    const double f = y[k];
+    y[k] = s * x[k] + c * f;
+    x[k] = c * x[k] - s * f;
+  }
+}
+
+// Rows in blocks of four. For j below the block, one pass over the four
+// rows both adds their terms to e[j] (in ascending row order, 4-wide
+// along j) and advances their four dots (one lane per row); the 4x4
+// corner on and below the diagonal then runs in scalar order, and leftover
+// rows run the scalar loop.
+void tred2_symv_avx2(const double* a, std::size_t lda, const double* u,
+                     std::size_t m, double* e) {
+  std::size_t k0 = 0;
+  for (; k0 + 4 <= m; k0 += 4) {
+    const double* r0 = a + k0 * lda;
+    const __m256d u0 = _mm256_set1_pd(u[k0]);
+    const __m256d u1 = _mm256_set1_pd(u[k0 + 1]);
+    const __m256d u2 = _mm256_set1_pd(u[k0 + 2]);
+    const __m256d u3 = _mm256_set1_pd(u[k0 + 3]);
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < k0; j += 4) {
+      const __m256d x0 = _mm256_loadu_pd(r0 + j);
+      const __m256d x1 = _mm256_loadu_pd(r0 + lda + j);
+      const __m256d x2 = _mm256_loadu_pd(r0 + 2 * lda + j);
+      const __m256d x3 = _mm256_loadu_pd(r0 + 3 * lda + j);
+      __m256d ev = _mm256_loadu_pd(e + j);
+      ev = _mm256_add_pd(ev, _mm256_mul_pd(x0, u0));
+      ev = _mm256_add_pd(ev, _mm256_mul_pd(x1, u1));
+      ev = _mm256_add_pd(ev, _mm256_mul_pd(x2, u2));
+      ev = _mm256_add_pd(ev, _mm256_mul_pd(x3, u3));
+      _mm256_storeu_pd(e + j, ev);
+      const __m256d uj = _mm256_loadu_pd(u + j);
+      __m256d p0 = _mm256_mul_pd(x0, uj);
+      __m256d p1 = _mm256_mul_pd(x1, uj);
+      __m256d p2 = _mm256_mul_pd(x2, uj);
+      __m256d p3 = _mm256_mul_pd(x3, uj);
+      transpose4(p0, p1, p2, p3);
+      acc = _mm256_add_pd(acc, p0);
+      acc = _mm256_add_pd(acc, p1);
+      acc = _mm256_add_pd(acc, p2);
+      acc = _mm256_add_pd(acc, p3);
+    }
+    alignas(32) double g[4];
+    _mm256_store_pd(g, acc);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const std::size_t k = k0 + r;
+      const double* row = a + k * lda;
+      for (std::size_t j = k0; j < k; ++j) {
+        g[r] += row[j] * u[j];
+        e[j] += row[j] * u[k];
+      }
+      e[k] = g[r] + row[k] * u[k];
+    }
+  }
+  for (std::size_t k = k0; k < m; ++k) {
+    const double* row = a + k * lda;
+    double g = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      g += row[j] * u[j];
+      e[j] += row[j] * u[k];
+    }
+    e[k] = g + row[k] * u[k];
+  }
+}
+
+void tred2_rank2_avx2(double* a, std::size_t lda, const double* u, double hh,
+                      std::size_t m, double* e) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const double f = u[j];
+    const double g = e[j] - hh * f;
+    e[j] = g;
+    double* row = a + j * lda;
+    const __m256d vf = _mm256_set1_pd(f);
+    const __m256d vg = _mm256_set1_pd(g);
+    std::size_t k = 0;
+    for (; k + 4 <= j + 1; k += 4)
+      _mm256_storeu_pd(
+          row + k,
+          _mm256_sub_pd(
+              _mm256_loadu_pd(row + k),
+              _mm256_add_pd(_mm256_mul_pd(vf, _mm256_loadu_pd(e + k)),
+                            _mm256_mul_pd(vg, _mm256_loadu_pd(u + k)))));
+    for (; k <= j; ++k) row[k] -= f * e[k] + g * u[k];
+  }
+}
+
+// Rows in blocks of eight, then four, then one: a block's dots all read
+// the rows before any of its updates writes them, which is the order the
+// scalar loop sees too (row j's dot reads only row j).
+void tred2_reflect_avx2(double* a, std::size_t lda, std::size_t rows,
+                        const double* u, const double* w, std::size_t len) {
+  std::size_t j = 0;
+  alignas(32) double g[8];
+  for (; j + 8 <= rows; j += 8) {
+    dots_rows<2>(a + j * lda, lda, u, len, g);
+    for (std::size_t r = 0; r < 8; ++r)
+      sub_scaled(a + (j + r) * lda, g[r], w, len);
+  }
+  for (; j + 4 <= rows; j += 4) {
+    dots_rows<1>(a + j * lda, lda, u, len, g);
+    for (std::size_t r = 0; r < 4; ++r)
+      sub_scaled(a + (j + r) * lda, g[r], w, len);
+  }
+  for (; j < rows; ++j) {
+    double* row = a + j * lda;
+    double s = 0.0;
+    for (std::size_t k = 0; k < len; ++k) s += u[k] * row[k];
+    sub_scaled(row, s, w, len);
+  }
+}
+
 const KernelTable kAvx2Kernels = {
-    fill_bin_factors_avx2, dot_counts_avx2, normal_cdf_batch_avx2,
-    matmul_avx2,           matvec_avx2,     gram_aat_avx2,
-    clenshaw_batch_avx2,
+    fill_bin_factors_avx2, dot_counts_avx2,  normal_cdf_batch_avx2,
+    matmul_avx2,           matvec_avx2,      gram_aat_avx2,
+    clenshaw_batch_avx2,   tql2_rotate_avx2, tred2_symv_avx2,
+    tred2_rank2_avx2,      tred2_reflect_avx2,
 };
 
 }  // namespace detail

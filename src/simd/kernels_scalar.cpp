@@ -2,7 +2,8 @@
 // baseline ISA. These are the authoritative definitions of the numerical
 // contracts in kernels.hpp: each loop is bit-identical to the historical
 // inner loop it replaced (montecarlo.cpp's dot_counts/fill_bin_factors,
-// matrix.cpp's matmul/multiply/gram_aat, stats::normal_cdf), so forcing
+// matrix.cpp's matmul/multiply/gram_aat, stats::normal_cdf, eigen.cpp's
+// tred2/tql2 loops), so forcing
 // OBDREL_SIMD=scalar reproduces pre-SIMD results exactly.
 
 #include <cmath>
@@ -130,14 +131,61 @@ void clenshaw_batch_scalar(const double* coeffs, std::size_t n,
   }
 }
 
+// The EISPACK tred2/tql2 inner loops of la::eigen_symmetric, verbatim in
+// their row-order form: the vector variants reproduce these operation
+// sequences element for element.
+void tql2_rotate_scalar(double* x, double* y, double c, double s,
+                        std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double f = y[k];
+    y[k] = s * x[k] + c * f;
+    x[k] = c * x[k] - s * f;
+  }
+}
+
+void tred2_symv_scalar(const double* a, std::size_t lda, const double* u,
+                       std::size_t m, double* e) {
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* row = a + k * lda;
+    double g = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      g += row[j] * u[j];
+      e[j] += row[j] * u[k];
+    }
+    e[k] = g + row[k] * u[k];
+  }
+}
+
+void tred2_rank2_scalar(double* a, std::size_t lda, const double* u,
+                        double hh, std::size_t m, double* e) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const double f = u[j];
+    const double g = e[j] - hh * f;
+    e[j] = g;
+    double* row = a + j * lda;
+    for (std::size_t k = 0; k <= j; ++k) row[k] -= f * e[k] + g * u[k];
+  }
+}
+
+void tred2_reflect_scalar(double* a, std::size_t lda, std::size_t rows,
+                          const double* u, const double* w, std::size_t len) {
+  for (std::size_t j = 0; j < rows; ++j) {
+    double* row = a + j * lda;
+    double g = 0.0;
+    for (std::size_t k = 0; k < len; ++k) g += u[k] * row[k];
+    for (std::size_t k = 0; k < len; ++k) row[k] -= g * w[k];
+  }
+}
+
 }  // namespace
 
 namespace detail {
 
 const KernelTable kScalarKernels = {
-    fill_bin_factors_scalar, dot_counts_scalar, normal_cdf_batch_scalar,
-    matmul_scalar,           matvec_scalar,     gram_aat_scalar,
-    clenshaw_batch_scalar,
+    fill_bin_factors_scalar, dot_counts_scalar,  normal_cdf_batch_scalar,
+    matmul_scalar,           matvec_scalar,      gram_aat_scalar,
+    clenshaw_batch_scalar,   tql2_rotate_scalar, tred2_symv_scalar,
+    tred2_rank2_scalar,      tred2_reflect_scalar,
 };
 
 }  // namespace detail

@@ -3,9 +3,12 @@
 // or documented ULP bounds between the scalar and AVX2 tables), the
 // red-black SOR sweep, and the warm-started thermal retries.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -400,6 +403,160 @@ TEST_P(SimdKernelPair, ClenshawBatchBitIdenticalAndMatchesDirectSum) {
 }
 
 // ------------------------------------------------------------------------
+// Eigensolver kernels: bit-identical across levels AND to the tred2/tql2
+// loops la::eigen_symmetric ran before they moved into the kernel table.
+
+// Mostly normal values, with signed zeros, subnormals and magnitudes whose
+// products land in the subnormal range mixed in.
+double eigen_kernel_value(stats::Rng& rng) {
+  const double p = rng.uniform();
+  if (p < 0.08) return 0.0;
+  if (p < 0.16) return -0.0;
+  if (p < 0.24)
+    return (rng.uniform() < 0.5 ? -0x1p-1060 : 0x1p-1060) *
+           (1.0 + rng.uniform());
+  if (p < 0.32) return 0x1p-520 * rng.normal();
+  return rng.normal();
+}
+
+std::vector<double> eigen_kernel_values(stats::Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (double& x : v) x = eigen_kernel_value(rng);
+  return v;
+}
+
+// Bitwise equality, so that -0.0 differs from 0.0.
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " element " << i << ": " << got[i] << " vs " << want[i];
+}
+
+TEST_P(SimdKernelPair, Tql2RotateBitIdenticalToHistoricalLoop) {
+  stats::Rng rng(211);
+  const double angle = 0.7;
+  const std::pair<double, double> cs[] = {
+      {std::cos(angle), std::sin(angle)}, {0.6, -0.8}, {1.0, -0.0},
+      {-0.0, 1.0}, {0x1p-600, 1.0}};
+  for (std::size_t n = 0; n <= 19; ++n) {
+    for (const auto& [c, s] : cs) {
+      // Rows i and i + 1 of zt, as ql_implicit rotated them.
+      std::vector<double> zt = eigen_kernel_values(rng, 2 * n);
+      const auto at = [&](std::vector<double>& m, std::size_t r,
+                          std::size_t k) -> double& { return m[r * n + k]; };
+      std::vector<double> ref = zt;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double f = at(ref, 1, k);
+        at(ref, 1, k) = s * at(ref, 0, k) + c * f;
+        at(ref, 0, k) = c * at(ref, 0, k) - s * f;
+      }
+      std::vector<double> zs = zt;
+      std::vector<double> zv = zt;
+      s_.tql2_rotate(zs.data(), zs.data() + n, c, s, n);
+      v_.tql2_rotate(zv.data(), zv.data() + n, c, s, n);
+      const std::string what = "n " + std::to_string(n);
+      expect_same_bits(zs, ref, "scalar " + what);
+      expect_same_bits(zv, ref, "vector " + what);
+    }
+  }
+}
+
+TEST_P(SimdKernelPair, Tred2SymvBitIdenticalToHistoricalLoop) {
+  stats::Rng rng(223);
+  for (std::size_t m = 0; m <= 21; ++m) {
+    // Rows 0..m-1 hold the lower triangle, row m holds u (row i of the
+    // reduction), with padding past each row as in a wider matrix.
+    const std::size_t lda = m + 3;
+    const std::vector<double> a = eigen_kernel_values(rng, (m + 1) * lda);
+    const std::vector<double> e0 = eigen_kernel_values(rng, m);
+    const auto at = [&](std::size_t r, std::size_t c) { return a[r * lda + c]; };
+    const std::size_t i = m;
+    std::vector<double> ref = e0;
+    for (std::size_t k = 0; k < m; ++k) {
+      double g = 0.0;
+      for (std::size_t j = 0; j < k; ++j) {
+        g += at(k, j) * at(i, j);
+        ref[j] += at(k, j) * at(i, k);
+      }
+      ref[k] = g + at(k, k) * at(i, k);
+    }
+    std::vector<double> es = e0;
+    std::vector<double> ev = e0;
+    s_.tred2_symv(a.data(), lda, a.data() + i * lda, m, es.data());
+    v_.tred2_symv(a.data(), lda, a.data() + i * lda, m, ev.data());
+    expect_same_bits(es, ref, "scalar m " + std::to_string(m));
+    expect_same_bits(ev, ref, "vector m " + std::to_string(m));
+  }
+}
+
+TEST_P(SimdKernelPair, Tred2Rank2BitIdenticalToHistoricalLoop) {
+  stats::Rng rng(227);
+  for (std::size_t m = 0; m <= 19; ++m) {
+    for (const double hh : {0.37, -0.0, 0x1p-530}) {
+      const std::size_t lda = m + 2;
+      const std::vector<double> a0 = eigen_kernel_values(rng, (m + 1) * lda);
+      const std::vector<double> e0 = eigen_kernel_values(rng, m);
+      const std::size_t i = m;
+      std::vector<double> ref = a0;
+      std::vector<double> eref = e0;
+      const auto at = [&](std::size_t r, std::size_t c) -> double& {
+        return ref[r * lda + c];
+      };
+      for (std::size_t j = 0; j < m; ++j) {
+        const double f = at(i, j);
+        double g = 0.0;
+        eref[j] = g = eref[j] - hh * f;
+        for (std::size_t k = 0; k <= j; ++k)
+          at(j, k) -= f * eref[k] + g * at(i, k);
+      }
+      std::vector<double> as = a0, av = a0, es = e0, ev = e0;
+      s_.tred2_rank2(as.data(), lda, as.data() + i * lda, hh, m, es.data());
+      v_.tred2_rank2(av.data(), lda, av.data() + i * lda, hh, m, ev.data());
+      const std::string what = "m " + std::to_string(m);
+      expect_same_bits(as, ref, "scalar a " + what);
+      expect_same_bits(es, eref, "scalar e " + what);
+      expect_same_bits(av, ref, "vector a " + what);
+      expect_same_bits(ev, eref, "vector e " + what);
+    }
+  }
+}
+
+TEST_P(SimdKernelPair, Tred2ReflectBitIdenticalToHistoricalLoop) {
+  stats::Rng rng(229);
+  // Rows 1..19 cover the 8-row and 4-row blocks and every leftover count.
+  for (std::size_t rows = 1; rows <= 19; ++rows) {
+    for (std::size_t len = 0; len <= 19; ++len) {
+      // Rows 0..rows-1 are reflected; row `rows` holds u.
+      const std::size_t lda = len + 1;
+      const std::vector<double> a0 = eigen_kernel_values(rng, (rows + 1) * lda);
+      const std::vector<double> w = eigen_kernel_values(rng, len);
+      const std::size_t i = rows;
+      std::vector<double> ref = a0;
+      const auto at = [&](std::size_t r, std::size_t c) -> double& {
+        return ref[r * lda + c];
+      };
+      for (std::size_t j = 0; j < rows; ++j) {
+        double g = 0.0;
+        for (std::size_t k = 0; k < len; ++k) g += at(i, k) * at(j, k);
+        for (std::size_t k = 0; k < len; ++k) at(j, k) -= g * w[k];
+      }
+      std::vector<double> as = a0, av = a0;
+      s_.tred2_reflect(as.data(), lda, rows, as.data() + i * lda, w.data(),
+                       len);
+      v_.tred2_reflect(av.data(), lda, rows, av.data() + i * lda, w.data(),
+                       len);
+      const std::string what =
+          "rows " + std::to_string(rows) + " len " + std::to_string(len);
+      expect_same_bits(as, ref, "scalar " + what);
+      expect_same_bits(av, ref, "vector " + what);
+    }
+  }
+}
+
+// ------------------------------------------------------------------------
 // Per-kernel tier composition under "auto" vs forced levels
 
 TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
@@ -414,6 +571,14 @@ TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
               simd::Level::kAvx2);
     EXPECT_EQ(simd::kernels().dot_counts,
               simd::detail::kAvx2Kernels.dot_counts);
+    // The eigensolver kernels have no AVX-512 variant: both tables hold
+    // the AVX2 one, and the cap reports it.
+    EXPECT_EQ(simd::kernel_level(simd::KernelId::kTred2Reflect),
+              simd::Level::kAvx2);
+    EXPECT_EQ(simd::kernels().tred2_reflect,
+              simd::detail::kAvx2Kernels.tred2_reflect);
+    EXPECT_EQ(simd::detail::kAvx512Kernels.tql2_rotate,
+              simd::detail::kAvx2Kernels.tql2_rotate);
     // Every other kernel still runs the widest tier.
     EXPECT_EQ(simd::kernel_level(simd::KernelId::kClenshawBatch),
               simd::Level::kAvx512);
@@ -441,6 +606,39 @@ TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
             simd::Level::kScalar);
   EXPECT_EQ(simd::kernels().dot_counts,
             simd::detail::kScalarKernels.dot_counts);
+}
+
+// The simd.level stat names every kernel "auto" runs below the widest
+// tier: dot_counts (capped) and the eigensolver kernels (no AVX-512
+// variant). Forced levels name none.
+TEST(SimdDispatch, PublishedLevelNamesEveryKernelBelowTheWidestTier) {
+  DispatchGuard guard;
+  const auto published = [] {
+    diagnostics().clear();
+    simd::publish_level();
+    const std::vector<Diagnostic> stats = diagnostics().stats();
+    diagnostics().clear();
+    return stats.size() == 1 && stats[0].site == "simd.level"
+               ? stats[0].message
+               : std::string("<missing>");
+  };
+  const std::string caps =
+      std::string(simd::can_use_avx512() ? " (avx512f+dq available"
+                                         : " (avx512f+dq unavailable") +
+      (simd::can_use_avx2() ? ", avx2+fma available)"
+                            : ", avx2+fma unavailable)");
+  simd::configure("auto");
+  const simd::Level widest = simd::active_level();
+  if (widest == simd::Level::kAvx512)
+    EXPECT_EQ(published(),
+              "dispatch avx512, dot_counts=avx2, tql2_rotate=avx2, "
+              "tred2_symv=avx2, tred2_rank2=avx2, tred2_reflect=avx2" +
+                  caps);
+  else
+    EXPECT_EQ(published(),
+              std::string("dispatch ") + simd::to_string(widest) + caps);
+  simd::set_level(simd::Level::kScalar);
+  EXPECT_EQ(published(), "dispatch scalar" + caps);
 }
 
 // ------------------------------------------------------------------------
