@@ -17,9 +17,9 @@ namespace fs = std::filesystem;
 /// Disk-tier snapshot schema version (payload = key line + LUT text).
 constexpr std::uint32_t kCacheVersion = 1;
 
-/// Fixed per-entry overhead charged on top of the table bytes: the
-/// problem's canonical form, layout, and node lists are small next to the
-/// tables but not free.
+/// Fixed per-entry overhead charged on top of the table and canonical-form
+/// bytes: the problem's layout and node lists are small next to the tables
+/// but not free.
 constexpr std::size_t kEntryOverhead = std::size_t{64} << 10;
 
 /// Moves a bad cache file aside so it is kept for post-mortem but never
@@ -107,8 +107,15 @@ std::optional<std::string> read_cache_file(const std::string& path,
 }
 
 std::size_t entry_bytes(std::size_t blocks, std::size_t n_gamma,
-                        std::size_t n_b) {
-  return blocks * n_gamma * n_b * sizeof(double) + kEntryOverhead;
+                        std::size_t n_b, std::size_t canonical_bytes) {
+  return blocks * n_gamma * n_b * sizeof(double) + canonical_bytes +
+         kEntryOverhead;
+}
+
+std::size_t canonical_bytes(const var::CanonicalForm& form) {
+  return (form.grid_count() + form.sensitivities().rows() *
+                                  form.sensitivities().cols()) *
+         sizeof(double);
 }
 
 TableCache::TableCache(CacheOptions options) : options_(std::move(options)) {

@@ -90,10 +90,16 @@ struct CacheEntry {
   bool on_disk = false;         ///< disk tier already holds this entry
 };
 
-/// Estimated resident bytes of an entry with the given table shape —
-/// tables dominate; the fixed overhead covers the problem skeleton.
+/// Estimated resident bytes of an entry with the given table shape plus
+/// the canonical form it owns: `canonical_bytes` is canonical_bytes() of
+/// its problem when it was built without a donor, and 0 when it shares a
+/// donor's. The fixed overhead covers the rest of the problem skeleton.
 [[nodiscard]] std::size_t entry_bytes(std::size_t blocks, std::size_t n_gamma,
-                                      std::size_t n_b);
+                                      std::size_t n_b,
+                                      std::size_t canonical_bytes);
+
+/// Bytes held by a canonical form's nominal vector and sensitivity matrix.
+[[nodiscard]] std::size_t canonical_bytes(const var::CanonicalForm& form);
 
 struct CacheOptions {
   std::size_t byte_budget = std::size_t{256} << 20;  ///< memory tier budget

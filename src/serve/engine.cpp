@@ -334,8 +334,11 @@ std::vector<std::string> QueryEngine::evaluate(
         fresh.key = key;
         fresh.fp = fp;
         fresh.variation_key = std::move(variation_key);
-        fresh.bytes = entry_bytes(problem->blocks().size(), hopts.n_gamma,
-                                  hopts.n_b);
+        // A donor-less entry owns its canonical form; one built from a
+        // donor shares the donor's.
+        fresh.bytes = entry_bytes(
+            problem->blocks().size(), hopts.n_gamma, hopts.n_b,
+            donor != nullptr ? 0 : canonical_bytes(problem->canonical()));
         fresh.problem = std::move(problem);
         fresh.hybrid = std::move(hybrid);
         entry = cache_.insert(std::move(fresh));

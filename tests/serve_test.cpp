@@ -709,6 +709,39 @@ TEST_F(ServeEngineTest, RebuiltEntryNeverReusesAStaleSessionEvaluator) {
   EXPECT_EQ(again, first);
 }
 
+// An entry built without a donor owns its canonical form and is charged
+// for it; one that shares a donor's variation stage is charged for its
+// tables only. Under a budget with room for a donor and one sharer, a
+// second donor-less entry evicts where a sharer does not.
+TEST_F(ServeEngineTest, DonorlessEntriesAreChargedForTheirCanonicalForm) {
+  std::size_t owner_bytes = 0;   // tables + overhead + canonical form
+  std::size_t sharer_bytes = 0;  // tables + overhead
+  {
+    serve::QueryEngine engine(base_config(), engine_options());
+    (void)engine.evaluate({query("a", 3.15e8)});
+    owner_bytes = engine.cache().bytes();
+    (void)engine.evaluate({query("b", 3.15e8, " set.ambient_c=60")});
+    EXPECT_EQ(engine.cache().stats().shared_builds, 1u);
+    sharer_bytes = engine.cache().bytes() - owner_bytes;
+    const serve::CacheEntry* entry = engine.cache().find_donor(
+        core::variation_key(base_config()));
+    ASSERT_NE(entry, nullptr);
+    const std::size_t form = serve::canonical_bytes(entry->problem->canonical());
+    EXPECT_GT(form, 0u);
+    EXPECT_EQ(owner_bytes, sharer_bytes + form);
+  }
+  const auto evictions_after = [&](const std::string& second) {
+    serve::EngineOptions opts = engine_options();
+    opts.cache.byte_budget = owner_bytes + sharer_bytes;
+    serve::QueryEngine engine(base_config(), opts);
+    (void)engine.evaluate({query("a", 3.15e8)});
+    (void)engine.evaluate({query("b", 3.15e8, second)});
+    return engine.cache().stats().evictions;
+  };
+  EXPECT_EQ(evictions_after(" set.ambient_c=60"), 0u);
+  EXPECT_EQ(evictions_after(" set.rho_dist=0.25"), 1u);
+}
+
 TEST_F(ServeEngineTest, CondBlockIndexOutOfRangeIsARequestError) {
   serve::QueryEngine engine(base_config(), engine_options());
   const std::string reply =
