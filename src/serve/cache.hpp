@@ -9,13 +9,15 @@
 // Entries with equal variation keys share one canonical form; each holds
 // its own copy of the tables, whose values are equal.
 //
-//   - Memory tier: LRU with a byte budget. Inserting over budget evicts
-//     the least-recently-used entries; an evicted entry's tables are first
-//     written back to the disk tier (when enabled) so the work is demoted,
-//     not destroyed. A resident entry also donates its variation stage to
-//     a cold fingerprint with the same variation key (find_donor); that
-//     sharing is memory-only, and the disk tier stays keyed by the full
-//     key.
+//   - Memory tier: LRU with a byte budget. Each entry is charged its
+//     tables, plus its canonical form when it owns one (built without a
+//     donor, see entry_bytes). Inserting over budget evicts the
+//     least-recently-used entries; an evicted entry's tables are first
+//     written back to the disk tier (when enabled) so the work is
+//     demoted, not destroyed. A resident entry also donates its variation
+//     stage to a cold fingerprint with the same variation key
+//     (find_donor); that sharing is memory-only, and the disk tier stays
+//     keyed by the full key.
 //   - Disk tier: one CRC-framed snapshot per fingerprint written through
 //     the common/checkpoint atomic writer (temp + fsync + rename), so a
 //     SIGKILL mid-write leaves either the previous file or a stale `.tmp`

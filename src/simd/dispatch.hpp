@@ -17,10 +17,10 @@
 // AVX-512 entries are the AVX2 ones); every other kernel still gets the
 // widest variant. active_level() continues to report the widest
 // resolved tier (that is what "auto" selected); kernel_level() reports
-// the tier actually serving one kernel. An
-// explicit level — configure("avx512"), OBDREL_SIMD=<level>, or
-// set_level() — is forced: the whole uncomposed table of that level is
-// used, caps ignored, so forced runs exercise exactly one tier.
+// the tier actually serving one kernel. An explicit level —
+// configure("avx512"), OBDREL_SIMD=<level>, or set_level() — is forced:
+// the whole uncomposed table of that level is used, caps ignored, so
+// forced runs exercise exactly one tier.
 //
 // Requesting "avx512" or "avx2" explicitly on a host (or build) that
 // cannot run it is a configuration error (ErrorCode::kConfig), mirroring

@@ -364,32 +364,20 @@ void clenshaw_batch_avx2(const double* coeffs, std::size_t n, std::size_t m,
 // lane only ever holds an independent element or an independent dot
 // chain.
 
-// In: four product vectors p_r = [x_r(k) .. x_r(k+3)] of rows r = 0..3.
-// Out: p_c = [x_0(k+c) .. x_3(k+c)], the four rows' terms at column k + c.
-inline void transpose4(__m256d& p0, __m256d& p1, __m256d& p2, __m256d& p3) {
+// acc lane r += p_r[0], then p_r[1], p_r[2], p_r[3], where p_r holds row
+// r's products at four consecutive columns. A 4x4 transpose turns the
+// four rows' terms at one column into one vector, so each lane is one
+// row's dot chain and still adds its terms in ascending column order.
+inline __m256d add_row_products(__m256d acc, __m256d p0, __m256d p1,
+                                __m256d p2, __m256d p3) {
   const __m256d t0 = _mm256_unpacklo_pd(p0, p1);
   const __m256d t1 = _mm256_unpackhi_pd(p0, p1);
   const __m256d t2 = _mm256_unpacklo_pd(p2, p3);
   const __m256d t3 = _mm256_unpackhi_pd(p2, p3);
-  p0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-  p1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-  p2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-  p3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-// acc lane r += x_r(k) * u(k) for k = k0 .. k0+3 in ascending k, one lane
-// per row: the four rows' dots advance together, each in its own order.
-inline __m256d add_row_terms(__m256d acc, const double* r0, std::size_t lda,
-                             __m256d uk) {
-  __m256d p0 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0));
-  __m256d p1 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0 + lda));
-  __m256d p2 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0 + 2 * lda));
-  __m256d p3 = _mm256_mul_pd(uk, _mm256_loadu_pd(r0 + 3 * lda));
-  transpose4(p0, p1, p2, p3);
-  acc = _mm256_add_pd(acc, p0);
-  acc = _mm256_add_pd(acc, p1);
-  acc = _mm256_add_pd(acc, p2);
-  return _mm256_add_pd(acc, p3);
+  acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t0, t2, 0x20));
+  acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t1, t3, 0x20));
+  acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t0, t2, 0x31));
+  return _mm256_add_pd(acc, _mm256_permute2f128_pd(t1, t3, 0x31));
 }
 
 // out[r] = sum_k u[k] * a(r, k) over [0, len) from 0.0 in ascending k,
@@ -403,8 +391,14 @@ void dots_rows(const double* a, std::size_t lda, const double* u,
   std::size_t k = 0;
   for (; k + 4 <= len; k += 4) {
     const __m256d uk = _mm256_loadu_pd(u + k);
-    for (std::size_t g = 0; g < kGroups; ++g)
-      acc[g] = add_row_terms(acc[g], a + 4 * g * lda + k, lda, uk);
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      const double* r = a + 4 * g * lda + k;
+      acc[g] = add_row_products(
+          acc[g], _mm256_mul_pd(uk, _mm256_loadu_pd(r)),
+          _mm256_mul_pd(uk, _mm256_loadu_pd(r + lda)),
+          _mm256_mul_pd(uk, _mm256_loadu_pd(r + 2 * lda)),
+          _mm256_mul_pd(uk, _mm256_loadu_pd(r + 3 * lda)));
+    }
   }
   for (std::size_t g = 0; g < kGroups; ++g)
     _mm256_storeu_pd(out + 4 * g, acc[g]);
@@ -476,15 +470,9 @@ void tred2_symv_avx2(const double* a, std::size_t lda, const double* u,
       ev = _mm256_add_pd(ev, _mm256_mul_pd(x3, u3));
       _mm256_storeu_pd(e + j, ev);
       const __m256d uj = _mm256_loadu_pd(u + j);
-      __m256d p0 = _mm256_mul_pd(x0, uj);
-      __m256d p1 = _mm256_mul_pd(x1, uj);
-      __m256d p2 = _mm256_mul_pd(x2, uj);
-      __m256d p3 = _mm256_mul_pd(x3, uj);
-      transpose4(p0, p1, p2, p3);
-      acc = _mm256_add_pd(acc, p0);
-      acc = _mm256_add_pd(acc, p1);
-      acc = _mm256_add_pd(acc, p2);
-      acc = _mm256_add_pd(acc, p3);
+      acc = add_row_products(acc, _mm256_mul_pd(x0, uj),
+                             _mm256_mul_pd(x1, uj), _mm256_mul_pd(x2, uj),
+                             _mm256_mul_pd(x3, uj));
     }
     alignas(32) double g[4];
     _mm256_store_pd(g, acc);
