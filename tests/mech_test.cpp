@@ -13,6 +13,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "chip/design.hpp"
 #include "common/config.hpp"
@@ -427,6 +431,152 @@ TEST_F(MechFixture, GoldenFailureDigestsOnEveryEntryPoint) {
           << stack.name << " / " << entry_points[e] << std::hex
           << ": got 0x" << d[e].value;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hybrid table fill error budget: every stored entry within 8 ULP of the
+// libm loop that filled the tables before they moved into the SIMD kernel
+// table.
+
+// That loop, verbatim: libm exp/expm1 per node, summed in node order,
+// stored as log(fail) floored at -745.
+std::vector<double> libm_table(const std::vector<core::UvNode>& node_list,
+                               double area, const core::HybridOptions& o) {
+  constexpr double kLogFloor = -745.0;
+  const double d_gamma =
+      (o.gamma_hi - o.gamma_lo) / static_cast<double>(o.n_gamma - 1);
+  const double d_b = (o.b_hi - o.b_lo) / static_cast<double>(o.n_b - 1);
+  auto entry = [&](double gamma, double b) -> double {
+    double fail = 0.0;
+    for (const auto& n : node_list) {
+      const double g =
+          std::exp(gamma * b * n.u + 0.5 * gamma * gamma * b * b * n.v);
+      fail += n.weight * (-std::expm1(-area * g));
+    }
+    if (!o.log_space) return fail;
+    return (fail > 0.0) ? std::max(kLogFloor, std::log(fail)) : kLogFloor;
+  };
+  std::vector<double> values(o.n_gamma * o.n_b);
+  for (std::size_t idx = 0; idx < values.size(); ++idx) {
+    const std::size_t ig = idx / o.n_b;
+    const std::size_t ib = idx % o.n_b;
+    values[idx] = entry(o.gamma_lo + static_cast<double>(ig) * d_gamma,
+                        o.b_lo + static_cast<double>(ib) * d_b);
+  }
+  return values;
+}
+
+// The stored tables, read back from save()'s stream (17 significant
+// digits round-trip every double exactly).
+std::vector<std::vector<double>> saved_tables(
+    const core::HybridEvaluator& hybrid) {
+  std::stringstream s;
+  hybrid.save(s);
+  std::string magic;
+  int version = 0;
+  std::size_t n_blocks = 0, n_gamma = 0, n_b = 0;
+  int log_space = 0;
+  double lo = 0.0, hi = 0.0;
+  s >> magic >> version >> n_blocks >> n_gamma >> n_b >> log_space >> lo >>
+      hi >> lo >> hi;
+  std::vector<std::vector<double>> tables(n_blocks);
+  for (auto& values : tables) {
+    std::string name;
+    double area = 0.0;
+    s >> name >> area;
+    values.resize(n_gamma * n_b);
+    for (double& v : values) s >> v;
+  }
+  EXPECT_TRUE(s.good());
+  return tables;
+}
+
+// Distance in units in the last place between two finite doubles.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double d) {
+    const auto i = std::bit_cast<std::int64_t>(d);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t ia = ordered(a);
+  const std::int64_t ib = ordered(b);
+  return ia > ib ? static_cast<std::uint64_t>(ia - ib)
+                 : static_cast<std::uint64_t>(ib - ia);
+}
+
+// Largest ULP distance of any of `problem`'s hybrid table entries from
+// the libm loop, on tables of F itself (log_space off). Default tables
+// store log(F) and must be exactly the floored log of those entries:
+// near F = 1 an F one ULP off moves log(F) by many ULPs of its own, so
+// the budget is stated on F.
+std::uint64_t max_fill_ulps(const ReliabilityProblem& problem) {
+  constexpr double kLogFloor = -745.0;
+  core::HybridOptions linear;
+  linear.log_space = false;
+  const auto raw = saved_tables(core::HybridEvaluator(problem, linear));
+  const auto logs = saved_tables(core::HybridEvaluator(problem));
+  const AnalyticAnalyzer integrator(problem, linear.integration);
+  EXPECT_EQ(raw.size(), problem.blocks().size());
+  EXPECT_EQ(logs.size(), raw.size());
+  std::uint64_t worst = 0;
+  for (std::size_t j = 0; j < raw.size() && j < logs.size(); ++j) {
+    const std::vector<double> want = libm_table(
+        integrator.nodes()[j], problem.blocks()[j].area, linear);
+    EXPECT_EQ(raw[j].size(), want.size());
+    EXPECT_EQ(logs[j].size(), want.size());
+    for (std::size_t i = 0; i < want.size() && i < raw[j].size(); ++i) {
+      worst = std::max(worst, ulp_distance(raw[j][i], want[i]));
+      const double f = raw[j][i];
+      const double log_f =
+          f > 0.0 ? std::max(kLogFloor, std::log(f)) : kLogFloor;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(logs[j][i]),
+                std::bit_cast<std::uint64_t>(log_f))
+          << "block " << j << " entry " << i;
+    }
+  }
+  return worst;
+}
+
+constexpr std::uint64_t kFillBudgetUlps = 8;
+
+TEST_F(MechFixture, HybridTablesWithinEightUlpOfLibmFill) {
+  core::ProblemOptions series_opts;
+  series_opts.grid_cells_per_side = 10;
+  series_opts.mechanisms.nbti = true;
+  series_opts.mechanisms.em = true;
+  core::ProblemOptions spare_opts;
+  spare_opts.grid_cells_per_side = 10;
+  spare_opts.mechanisms.hci = true;
+  spare_opts.mechanisms.redundancy.push_back(
+      {"cores", {"blk0", "blk2", "blk3"}, 1});
+  const ReliabilityProblem series(ReliabilityProblem::build(
+      *design_, var::VariationBudget{}, *model_, *temps_, 1.2, series_opts));
+  const ReliabilityProblem spare(ReliabilityProblem::build(
+      *design_, var::VariationBudget{}, *model_, *temps_, 1.2, spare_opts));
+  for (const ReliabilityProblem* p :
+       {static_cast<const ReliabilityProblem*>(oxide_), &series, &spare}) {
+    const std::uint64_t ulps = max_fill_ulps(*p);
+    EXPECT_LE(ulps, kFillBudgetUlps);
+    std::printf("max table ULP distance from the libm fill: %llu\n",
+                static_cast<unsigned long long>(ulps));
+  }
+}
+
+TEST(HybridFillBudget, Ev6TablesWithinEightUlpOfLibmFillAtGrid25And32) {
+  const chip::Design ev6 = chip::make_ev6_design();
+  std::vector<double> temps;
+  for (std::size_t j = 0; j < ev6.blocks.size(); ++j)
+    temps.push_back(60.0 + 3.0 * static_cast<double>(j));
+  const core::AnalyticReliabilityModel model;
+  for (const std::size_t grid : {25u, 32u}) {
+    core::ProblemOptions opts;
+    opts.grid_cells_per_side = grid;
+    const ReliabilityProblem problem(ReliabilityProblem::build(
+        ev6, var::VariationBudget{}, model, temps, 1.2, opts));
+    const std::uint64_t ulps = max_fill_ulps(problem);
+    EXPECT_LE(ulps, kFillBudgetUlps) << "grid " << grid;
+    std::printf("grid %zu: max table ULP distance from the libm fill: %llu\n",
+                grid, static_cast<unsigned long long>(ulps));
   }
 }
 
