@@ -38,9 +38,9 @@ void store(Level level, bool forced) {
 // AVX2 (0.068s vs 0.043s on the bench workload) — the kernel is
 // load-bound and the fold of each 512-bit product back into the four
 // 256-bit accumulator lanes costs two extracts plus two adds per eight
-// elements, which AVX2 simply doesn't pay. The eigensolver kernels have
-// no AVX-512 variant (that table serves the AVX2 ones), so their cap
-// names the tier that actually runs. Every other kernel wins at the
+// elements, which AVX2 simply doesn't pay. The eigensolver kernels and
+// hybrid_row have no AVX-512 variant (that table serves the AVX2 ones),
+// so their cap names the tier that actually runs. Every other kernel wins at the
 // widest tier. bench/simd_kernels.cpp gates that the tier `auto` picks
 // per kernel stays within tolerance of the fastest measured tier, so a
 // regression here (or a ratio flip on new hardware) fails the bench.
@@ -60,9 +60,10 @@ constexpr AutoCap kAutoCap[] = {
     {"tred2_symv", Level::kAvx2},
     {"tred2_rank2", Level::kAvx2},
     {"tred2_reflect", Level::kAvx2},
+    {"hybrid_row", Level::kAvx2},
 };
 static_assert(std::size(kAutoCap) ==
-              static_cast<std::size_t>(KernelId::kTred2Reflect) + 1);
+              static_cast<std::size_t>(KernelId::kHybridRow) + 1);
 
 // Whole-level table, guarded by what is compiled in (the alias tables are
 // scalar copies on non-ISA builds, but going through the macros keeps the
@@ -102,6 +103,7 @@ KernelTable compose_auto(Level widest) {
       level_table(capped(widest, KernelId::kTred2Rank2)).tred2_rank2;
   t.tred2_reflect =
       level_table(capped(widest, KernelId::kTred2Reflect)).tred2_reflect;
+  t.hybrid_row = level_table(capped(widest, KernelId::kHybridRow)).hybrid_row;
   return t;
 }
 

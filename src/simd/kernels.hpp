@@ -74,6 +74,21 @@
 //                     e[j] += terms come in ascending row order, and its
 //                     4x4 diagonal corner runs in scalar order. The
 //                     AVX-512 table serves the AVX2 variants.
+//   hybrid_row        bit-identical across ALL levels: one lane is one
+//                     table entry b_i = b_lo + i*d_b, summing its nodes
+//                     from 0.0 in ascending order, with the argument
+//                     formed as (gamma*b)*u + ((((0.5*gamma)*gamma)*b)*b)*v
+//                     and every product and sum rounded on its own. exp
+//                     and expm1 are the portable ones of hybrid_row.hpp
+//                     (Cody-Waite reduction, a degree-13 Estrin core with
+//                     FMA, two-factor 2^n scaling; expm1 in three
+//                     branches), written once and instantiated per level
+//                     with operations that round alike; a vector's unused
+//                     tail lanes compute throwaway entries, so lane width
+//                     never changes a bit. Error budget: every entry within
+//                     8 ULP of the historical std::exp/std::expm1 loop
+//                     (tests/mech_test.cpp). The AVX-512 table serves the
+//                     AVX2 variant.
 #pragma once
 
 #include <cstddef>
@@ -146,6 +161,14 @@ struct KernelTable {
   /// must not overlap the rows updated.
   void (*tred2_reflect)(double* a, std::size_t lda, std::size_t rows,
                         const double* u, const double* w, std::size_t len);
+  /// One gamma row of a hybrid table: for i in [0, n_b), with
+  /// b = b_lo + i*d_b, out[i] = sum_k w[k] * -expm1(-area * exp((gamma*b)
+  /// * u[k] + ((((0.5*gamma)*gamma)*b)*b) * v[k])) over the n_nodes nodes
+  /// in ascending k. Any argument is allowed: exp overflow gives a term of
+  /// w[k], underflow a term of 0, and NaN propagates.
+  void (*hybrid_row)(const double* u, const double* v, const double* w,
+                     std::size_t n_nodes, double gamma, double b_lo,
+                     double d_b, double area, std::size_t n_b, double* out);
 };
 
 /// The table for the active dispatch level (lazily resolved from
@@ -160,7 +183,8 @@ extern const KernelTable kScalarKernels;
 extern const KernelTable kAvx2Kernels;
 extern const KernelTable kAvx512Kernels;
 
-// The AVX2 eigensolver kernels, which the AVX-512 table serves as well
+// The AVX2 eigensolver and hybrid_row kernels, which the AVX-512 table
+// serves as well
 // (that tier has no variant of its own). Defined only in builds that
 // compile the AVX2 tier; the AVX-512 tier is only compiled alongside it.
 void tql2_rotate_avx2(double* x, double* y, double c, double s,
@@ -171,6 +195,9 @@ void tred2_rank2_avx2(double* a, std::size_t lda, const double* u, double hh,
                       std::size_t m, double* e);
 void tred2_reflect_avx2(double* a, std::size_t lda, std::size_t rows,
                         const double* u, const double* w, std::size_t len);
+void hybrid_row_avx2(const double* u, const double* v, const double* w,
+                     std::size_t n_nodes, double gamma, double b_lo,
+                     double d_b, double area, std::size_t n_b, double* out);
 }  // namespace detail
 
 }  // namespace obd::simd

@@ -362,7 +362,7 @@ const KernelTable kAvx512Kernels = {
     fill_bin_factors_avx512, dot_counts_avx512, normal_cdf_batch_avx512,
     matmul_avx512,           matvec_avx512,     gram_aat_avx512,
     clenshaw_batch_avx512,   tql2_rotate_avx2,  tred2_symv_avx2,
-    tred2_rank2_avx2,        tred2_reflect_avx2,
+    tred2_rank2_avx2,        tred2_reflect_avx2, hybrid_row_avx2,
 };
 
 }  // namespace detail

@@ -4,12 +4,17 @@
 // inner loop it replaced (montecarlo.cpp's dot_counts/fill_bin_factors,
 // matrix.cpp's matmul/multiply/gram_aat, stats::normal_cdf, eigen.cpp's
 // tred2/tql2 loops), so forcing
-// OBDREL_SIMD=scalar reproduces pre-SIMD results exactly.
+// OBDREL_SIMD=scalar reproduces pre-SIMD results exactly. hybrid_row is
+// the exception: it replaced libm's exp/expm1 with the portable ones of
+// hybrid_row.hpp, and its scalar variant runs them one lane at a time.
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
+#include "simd/hybrid_row.hpp"
 #include "simd/kernels.hpp"
 
 namespace obd::simd {
@@ -177,6 +182,54 @@ void tred2_reflect_scalar(double* a, std::size_t lda, std::size_t rows,
   }
 }
 
+// hybrid_row.hpp's operations on one lane. std::fma and std::nearbyint
+// round exactly like _mm256_fmadd_pd and _mm256_round_pd (nearest), max
+// and min keep maxpd/minpd's NaN rule, and scale_pow2 converts a NaN
+// exponent to INT32_MIN as cvtpd2dq does, so each lane matches the AVX2
+// kernel bit for bit. fnma negates the constant operand, never a possible
+// NaN, as fnmadd leaves a NaN's sign alone.
+struct ScalarOps {
+  using V = double;
+  using M = bool;
+  static constexpr std::size_t kWidth = 1;
+  static V set1(double a) { return a; }
+  static V iota(std::size_t i0) { return static_cast<double>(i0); }
+  static V add(V a, V b) { return a + b; }
+  static V sub(V a, V b) { return a - b; }
+  static V mul(V a, V b) { return a * b; }
+  static V abs(V a) { return std::fabs(a); }
+  static V fma(V a, V b, V c) { return std::fma(a, b, c); }
+  static V fnma(V a, V b, V c) { return std::fma(a, -b, c); }
+  static V round_nearest(V a) { return std::nearbyint(a); }
+  static V max(V a, V b) { return a > b ? a : b; }
+  static V min(V a, V b) { return a < b ? a : b; }
+  static V scale_pow2(V p, V nf) {
+    const std::int32_t n = nf == nf ? static_cast<std::int32_t>(nf)
+                                    : std::numeric_limits<std::int32_t>::min();
+    const std::int32_t n1 = n >> 1;
+    const auto pow2 = [](std::int32_t m) {
+      return std::bit_cast<double>(
+          static_cast<std::uint64_t>(static_cast<std::int64_t>(m) + 1023)
+          << 52);
+    };
+    return (p * pow2(n1)) * pow2(n - n1);
+  }
+  static M lt(V a, V b) { return a < b; }
+  static M gt(V a, V b) { return a > b; }
+  static V select(M m, V a, V b) { return m ? a : b; }
+  static bool any(M m) { return m; }
+  static bool all(M m) { return m; }
+  static void store(double* out, V a) { *out = a; }
+};
+
+void hybrid_row_scalar(const double* u, const double* v, const double* w,
+                       std::size_t n_nodes, double gamma, double b_lo,
+                       double d_b, double area, std::size_t n_b,
+                       double* out) {
+  detail::hybrid_row<ScalarOps, 1>(u, v, w, n_nodes, gamma, b_lo, d_b, area,
+                                n_b, out);
+}
+
 }  // namespace
 
 namespace detail {
@@ -185,7 +238,7 @@ const KernelTable kScalarKernels = {
     fill_bin_factors_scalar, dot_counts_scalar,  normal_cdf_batch_scalar,
     matmul_scalar,           matvec_scalar,      gram_aat_scalar,
     clenshaw_batch_scalar,   tql2_rotate_scalar, tred2_symv_scalar,
-    tred2_rank2_scalar,      tred2_reflect_scalar,
+    tred2_rank2_scalar,      tred2_reflect_scalar, hybrid_row_scalar,
 };
 
 }  // namespace detail

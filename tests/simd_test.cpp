@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -557,6 +559,111 @@ TEST_P(SimdKernelPair, Tred2ReflectBitIdenticalToHistoricalLoop) {
 }
 
 // ------------------------------------------------------------------------
+// hybrid_row: bit-identical across levels, every argument region included.
+
+// One node whose exp argument is u (v = 0, gamma = 1), so each lane's
+// entry is w * -expm1(-area * exp(b * u)) for its own b: underflow to 0,
+// subnormal g, both sides of the expm1 branch points (|y| = 2^-54 and
+// ln2/2 at area 1), overflow to +inf, infinities and NaN.
+std::vector<double> hybrid_row_edge_arguments() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> us = {-1e4,   -800.0, -746.0, -745.2, -744.4, -740.0,
+                            -720.0, -708.5, -708.3, -300.0, -60.0,  -20.0,
+                            -1.0,   -0.5,   -1e-20, -0.0,   0.0,    1e-300,
+                            0.5,    1.0,    3.0,    10.0,   100.0,  700.0,
+                            709.78, 709.79, 710.0,  800.0,  1e4,    inf,
+                            -inf,   nan};
+  // exp(u) = 2^-54 and exp(u) = ln2/2: the lanes' spread in b puts
+  // entries on both sides of each branch point.
+  for (const double at : {std::log(0x1p-54), std::log(0.5 * std::log(2.0))})
+    for (const double d : {-1e-12, -1e-15, 0.0, 1e-15, 1e-12})
+      us.push_back(at * (1.0 + d));
+  return us;
+}
+
+TEST_P(SimdKernelPair, HybridRowBitIdenticalAcrossLevels) {
+  const auto run = [](const simd::KernelTable& t, const std::vector<double>& u,
+                      const std::vector<double>& v,
+                      const std::vector<double>& w, double gamma,
+                      double b_lo, double d_b, double area, std::size_t n_b) {
+    std::vector<double> out(n_b, -1.0);
+    t.hybrid_row(u.data(), v.data(), w.data(), u.size(), gamma, b_lo, d_b,
+                 area, n_b, out.data());
+    return out;
+  };
+  const auto check = [&](const std::vector<double>& u,
+                         const std::vector<double>& v,
+                         const std::vector<double>& w, double gamma,
+                         double b_lo, double d_b, double area,
+                         std::size_t n_b, const std::string& what) {
+    const auto want = run(s_, u, v, w, gamma, b_lo, d_b, area, n_b);
+    expect_same_bits(run(v_, u, v, w, gamma, b_lo, d_b, area, n_b), want,
+                     what);
+    return want;
+  };
+
+  // Single nodes across every argument region, at two lane spreads in b.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double u : hybrid_row_edge_arguments()) {
+    for (const double d_b : {0x1p-40, 0.05}) {
+      for (const double area : {1.0, 1e-300, 1e300}) {
+        for (std::size_t n_b = 1; n_b <= 19; ++n_b) {
+          const std::string what = "u " + std::to_string(u) + " d_b " +
+                                   std::to_string(d_b) + " area " +
+                                   std::to_string(area) + " n_b " +
+                                   std::to_string(n_b);
+          const auto got =
+              check({u}, {0.0}, {0.75}, 1.0, 1.0, d_b, area, n_b, what);
+          if (std::isnan(u)) {
+            EXPECT_TRUE(std::isnan(got[0])) << what;
+          } else if (u >= 710.0 && area == 1.0) {
+            EXPECT_EQ(got[0], 0.75) << what;  // exp overflows: a term of 1
+          } else if (u <= -746.0) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[0]), 0u) << what;
+          }
+        }
+      }
+    }
+  }
+
+  // Zero nodes sum to +0.0; NaN in a weight, gamma or area propagates.
+  for (std::size_t n_b = 1; n_b <= 19; ++n_b) {
+    const auto zero = check({}, {}, {}, -30.0, 0.3, 0.01, 2.0, n_b, "empty");
+    for (const double z : zero) EXPECT_EQ(std::bit_cast<std::uint64_t>(z), 0u);
+    for (const auto& [w, gamma, area] :
+         {std::tuple{nan, -30.0, 2.0}, std::tuple{0.5, nan, 2.0},
+          std::tuple{0.5, -30.0, nan}}) {
+      const auto got =
+          check({-0.2}, {0.01}, {w}, gamma, 0.3, 0.01, area, n_b, "nan");
+      for (const double g : got) EXPECT_TRUE(std::isnan(g));
+    }
+  }
+
+  // 256 nodes of the tables' own shape (gamma across the default box),
+  // with edge arguments mixed in, over every tail length and a full row.
+  stats::Rng rng(233);
+  std::vector<double> u(256), v(256), w(256);
+  for (std::size_t k = 0; k < 256; ++k) {
+    u[k] = -5.0 + 0.5 * rng.normal();
+    v[k] = 0.1 * rng.uniform();
+    w[k] = rng.uniform() / 256.0;
+  }
+  const std::vector<double> edges = hybrid_row_edge_arguments();
+  for (std::size_t k = 0; k < edges.size() - 1; ++k)  // all but the NaN
+    u[7 * k % 256] = edges[k] / 10.0;
+  for (const double gamma : {-60.0, -31.0, -2.0}) {
+    for (const double area : {1.0, 3e4}) {
+      for (std::size_t n_b = 1; n_b <= 19; ++n_b)
+        check(u, v, w, gamma, 0.3, 0.7 / 99.0, area, n_b,
+              "gamma " + std::to_string(gamma) + " n_b " +
+                  std::to_string(n_b));
+      check(u, v, w, gamma, 0.3, 0.7 / 99.0, area, 100, "full row");
+    }
+  }
+}
+
+// ------------------------------------------------------------------------
 // Per-kernel tier composition under "auto" vs forced levels
 
 TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
@@ -579,6 +686,13 @@ TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
               simd::detail::kAvx2Kernels.tred2_reflect);
     EXPECT_EQ(simd::detail::kAvx512Kernels.tql2_rotate,
               simd::detail::kAvx2Kernels.tql2_rotate);
+    // So has hybrid_row.
+    EXPECT_EQ(simd::kernel_level(simd::KernelId::kHybridRow),
+              simd::Level::kAvx2);
+    EXPECT_EQ(simd::kernels().hybrid_row,
+              simd::detail::kAvx2Kernels.hybrid_row);
+    EXPECT_EQ(simd::detail::kAvx512Kernels.hybrid_row,
+              simd::detail::kAvx2Kernels.hybrid_row);
     // Every other kernel still runs the widest tier.
     EXPECT_EQ(simd::kernel_level(simd::KernelId::kClenshawBatch),
               simd::Level::kAvx512);
@@ -609,8 +723,8 @@ TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
 }
 
 // The simd.level stat names every kernel "auto" runs below the widest
-// tier: dot_counts (capped) and the eigensolver kernels (no AVX-512
-// variant). Forced levels name none.
+// tier: dot_counts (capped), the eigensolver kernels and hybrid_row (no
+// AVX-512 variant). Forced levels name none.
 TEST(SimdDispatch, PublishedLevelNamesEveryKernelBelowTheWidestTier) {
   DispatchGuard guard;
   const auto published = [] {
@@ -632,7 +746,8 @@ TEST(SimdDispatch, PublishedLevelNamesEveryKernelBelowTheWidestTier) {
   if (widest == simd::Level::kAvx512)
     EXPECT_EQ(published(),
               "dispatch avx512, dot_counts=avx2, tql2_rotate=avx2, "
-              "tred2_symv=avx2, tred2_rank2=avx2, tred2_reflect=avx2" +
+              "tred2_symv=avx2, tred2_rank2=avx2, tred2_reflect=avx2, "
+              "hybrid_row=avx2" +
                   caps);
   else
     EXPECT_EQ(published(),
