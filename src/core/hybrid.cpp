@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/parallel.hpp"
+#include "simd/kernels.hpp"
 
 namespace obd::core {
 namespace {
@@ -16,9 +17,9 @@ namespace {
 // Floor for log-space storage; exp(kLogFloor) underflows to a clean zero.
 constexpr double kLogFloor = -745.0;
 
-// Table entries per pool task during construction. Each entry is an
-// independent quadrature sum, so any chunking yields identical tables.
-constexpr std::size_t kFillChunk = 256;
+// Gamma rows per pool task during construction. Each entry is an
+// independent node sum, so any chunking yields identical tables.
+constexpr std::size_t kFillRows = 4;
 
 }  // namespace
 
@@ -35,6 +36,7 @@ HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
   // Reuse the st_fast (u, v) node machinery to fill the tables.
   const AnalyticAnalyzer integrator(problem, options.integration);
   const auto& blocks = problem.blocks();
+  const auto fill_row = simd::kernels().hybrid_row;
 
   // Grid spacing must match LookupTable2D's own sampling (node ix maps to
   // xlo + ix * (xhi - xlo) / (nx - 1)).
@@ -44,31 +46,35 @@ HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
       (options.b_hi - options.b_lo) / static_cast<double>(options.n_b - 1);
 
   tables_.reserve(blocks.size());
+  std::vector<double> u, v, w;
   for (std::size_t j = 0; j < blocks.size(); ++j) {
     const auto& node_list = integrator.nodes()[j];
+    u.clear();
+    v.clear();
+    w.clear();
+    for (const auto& n : node_list) {
+      u.push_back(n.u);
+      v.push_back(n.v);
+      w.push_back(n.weight);
+    }
     const double area = blocks[j].area;
-    auto entry = [&](double gamma, double b) -> double {
-      double fail = 0.0;
-      for (const auto& n : node_list) {
-        const double g =
-            std::exp(gamma * b * n.u + 0.5 * gamma * gamma * b * b * n.v);
-        fail += n.weight * (-std::expm1(-area * g));
-      }
-      if (!options_.log_space) return fail;
-      return (fail > 0.0) ? std::max(kLogFloor, std::log(fail)) : kLogFloor;
-    };
-    // Entries are independent, so the fill parallelizes over the flattened
-    // (gamma, b) grid with bit-identical tables for any thread count.
+    // One kernel call fills one gamma row (all b indices). Rows are
+    // independent, so the fill parallelizes over them with bit-identical
+    // tables for any thread count.
     std::vector<double> values(options.n_gamma * options.n_b);
     par::parallel_for(
-        0, values.size(), kFillChunk,
+        0, options.n_gamma, kFillRows,
         [&](std::size_t begin, std::size_t end) {
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            const std::size_t ig = idx / options_.n_b;
-            const std::size_t ib = idx % options_.n_b;
-            values[idx] =
-                entry(options_.gamma_lo + static_cast<double>(ig) * d_gamma,
-                      options_.b_lo + static_cast<double>(ib) * d_b);
+          for (std::size_t ig = begin; ig < end; ++ig) {
+            double* row = values.data() + ig * options_.n_b;
+            fill_row(u.data(), v.data(), w.data(), u.size(),
+                     options_.gamma_lo + static_cast<double>(ig) * d_gamma,
+                     options_.b_lo, d_b, area, options_.n_b, row);
+            if (!options_.log_space) continue;
+            for (std::size_t ib = 0; ib < options_.n_b; ++ib)
+              row[ib] = (row[ib] > 0.0)
+                            ? std::max(kLogFloor, std::log(row[ib]))
+                            : kLogFloor;
           }
         });
     tables_.emplace_back(options.gamma_lo, options.gamma_hi, options.n_gamma,

@@ -176,11 +176,11 @@ TEST_F(CliGoldenTest, DefaultConfigOutputsMatchDigests) {
         {{"thermal", "ed616f25c08d2c43"},
          {"analyze", "bea90759129c15a4"},
          {"report", "4bd2c67025f94c8a"},
-         {"lut build", "5371b7048d03de4f"},
+         {"lut build", "e3219ff7ec940045"},
          {"lut query", "1c1c39b0ce84659c"},
          {"drm run", "1cb6939b861f7662"},
          {"fleet", "9e1a195fd2d07e4d"},
-         {"serve", "77cd222e212bc7b9"}},
+         {"serve", "c3b8817b97ab8127"}},
         "80674ac5a87a19c2",
         "5bd3b93f8ab97e7d.lut 6c8ea02597cc08d2.lut 98c53a2518110648.lut");
 }
@@ -195,11 +195,11 @@ TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
         {{"thermal", "0278b14918686187"},
          {"analyze", "814b11315807f8da"},
          {"report", "9c14c639abd10af2"},
-         {"lut build", "7e89f7c75d807685"},
+         {"lut build", "26bb01693892a518"},
          {"lut query", "f28ea3576e219d5e"},
-         {"drm run", "daeb1027012120d8"},
+         {"drm run", "9c14a331ffddb18d"},
          {"fleet", "d3eac0fd4ba976bc"},
-         {"serve", "4be0c5c3b1dcedc5"}},
+         {"serve", "a1e9c2e1da8e72f0"}},
         "2a7df6ad89cea6f8",
         "7c33448f10c276af.lut a26d179d3fb17043.lut e6acec1a32b14110.lut");
 }

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -311,15 +313,21 @@ TEST_F(ParallelInvarianceFixture, PerAnalyzerThreadCapIsInvariantToo) {
 TEST_F(ParallelInvarianceFixture, HybridTablesAreBitIdentical) {
   PoolGuard guard;
   std::vector<double> reference;
+  std::string reference_tables;
   for (const std::size_t width : widths()) {
     par::set_threads(width);
     const core::HybridEvaluator hybrid(*problem_);
     std::vector<double> got;
     for (double t : {5e7, 2e8, 1e9, 5e9})
       got.push_back(hybrid.failure_probability(t));
+    // save() prints every entry at 17 digits: equal text, equal bits.
+    std::ostringstream tables;
+    hybrid.save(tables);
     if (reference.empty()) {
       reference = got;
+      reference_tables = tables.str();
     } else {
+      EXPECT_EQ(tables.str(), reference_tables) << "width " << width;
       for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], reference[i])
             << "value " << i << " at width " << width;
