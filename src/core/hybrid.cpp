@@ -17,6 +17,11 @@ namespace {
 // Floor for log-space storage; exp(kLogFloor) underflows to a clean zero.
 constexpr double kLogFloor = -745.0;
 
+// .lut stream format version. Version 1 tables were filled with the
+// host's libm exp/expm1; version 2 with hybrid_row's portable ones. The
+// two differ in the last bits, so a version-1 file is never read.
+constexpr int kLutVersion = 2;
+
 // Gamma rows per pool task during construction. Each entry is an
 // independent node sum, so any chunking yields identical tables.
 constexpr std::size_t kFillRows = 4;
@@ -186,7 +191,7 @@ HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
 }
 
 void HybridEvaluator::save(std::ostream& out) const {
-  out << "obdrel-hybrid-lut 1\n";
+  out << "obdrel-hybrid-lut " << kLutVersion << '\n';
   out << tables_.size() << ' ' << options_.n_gamma << ' ' << options_.n_b
       << ' ' << (options_.log_space ? 1 : 0) << '\n';
   out.precision(17);
@@ -211,9 +216,14 @@ HybridEvaluator HybridEvaluator::load(std::istream& in,
   std::string magic;
   int version = 0;
   in >> magic >> version;
-  require(in.good() && magic == "obdrel-hybrid-lut" && version == 1,
+  require(in.good() && magic == "obdrel-hybrid-lut",
           ErrorCode::kInvalidInput,
           "HybridEvaluator::load: not an obdrel hybrid LUT stream");
+  require(version == kLutVersion, ErrorCode::kInvalidInput,
+          "HybridEvaluator::load: LUT format version " +
+              std::to_string(version) + " is not supported (expected " +
+              std::to_string(kLutVersion) +
+              "; rebuild the tables with this build)");
 
   std::size_t n_blocks = 0;
   HybridOptions options;

@@ -94,11 +94,15 @@ class HybridEvaluator {
   /// Serializes the precomputed tables (text, versioned). Together with
   /// load() this is the Section IV-E deployment story: compute the tables
   /// once at sign-off, ship them to the "dynamic system for reliability
-  /// monitoring".
+  /// monitoring". Writes format version 2 ("obdrel-hybrid-lut 2"): tables
+  /// filled by the hybrid_row kernel.
   void save(std::ostream& out) const;
 
   /// Restores an evaluator from a stream produced by save(). `problem`
-  /// must be the same design (block count and areas are checked).
+  /// must be the same design (block count and areas are checked). Reads
+  /// only version 2: a version-1 stream holds libm-filled tables, whose
+  /// last bits differ, and is refused with Error(kInvalidInput) naming
+  /// its version, so served replies never mix the two fills.
   static HybridEvaluator load(std::istream& in,
                               const ReliabilityProblem& problem);
 

@@ -176,7 +176,7 @@ TEST_F(CliGoldenTest, DefaultConfigOutputsMatchDigests) {
         {{"thermal", "ed616f25c08d2c43"},
          {"analyze", "bea90759129c15a4"},
          {"report", "4bd2c67025f94c8a"},
-         {"lut build", "e3219ff7ec940045"},
+         {"lut build", "58a0c6761b2dc490"},
          {"lut query", "1c1c39b0ce84659c"},
          {"drm run", "1cb6939b861f7662"},
          {"fleet", "9e1a195fd2d07e4d"},
@@ -195,7 +195,7 @@ TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
         {{"thermal", "0278b14918686187"},
          {"analyze", "814b11315807f8da"},
          {"report", "9c14c639abd10af2"},
-         {"lut build", "26bb01693892a518"},
+         {"lut build", "6b06965ec8237b9d"},
          {"lut query", "f28ea3576e219d5e"},
          {"drm run", "9c14a331ffddb18d"},
          {"fleet", "d3eac0fd4ba976bc"},

@@ -305,6 +305,30 @@ TEST_F(LutTest, RejectsAbsurdTableDimensionsQuickly) {
       ErrorCode::kInvalidInput);
 }
 
+// Version-1 streams hold tables filled with libm's exp/expm1; this build
+// writes version 2 and refuses version 1 with a typed error naming it.
+TEST_F(LutTest, RefusesVersionOneStreamNamingTheVersion) {
+  core::HybridOptions hopts;
+  hopts.n_gamma = 8;
+  hopts.n_b = 4;
+  const core::HybridEvaluator ev(*problem_, hopts);
+  std::ostringstream out;
+  ev.save(out);
+  std::string text = out.str();
+  const std::string v2 = "obdrel-hybrid-lut 2\n";
+  ASSERT_EQ(text.rfind(v2, 0), 0u) << text.substr(0, 40);
+  text.replace(0, v2.size(), "obdrel-hybrid-lut 1\n");
+  std::istringstream in(text);
+  try {
+    (void)core::HybridEvaluator::load(in, *problem_);
+    FAIL() << "a version-1 stream loaded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(LutTest, RoundTripStillWorks) {
   core::HybridOptions hopts;
   hopts.n_gamma = 8;
