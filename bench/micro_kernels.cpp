@@ -10,6 +10,7 @@
 #include "chip/design.hpp"
 #include "common/checkpoint.hpp"
 #include "common/fault_injection.hpp"
+#include "common/parallel.hpp"
 #include "core/analytic.hpp"
 #include "core/hybrid.hpp"
 #include "core/montecarlo.hpp"
@@ -98,6 +99,30 @@ void BM_HybridQuery(benchmark::State& state) {
   state.SetLabel("per failure_probability() call");
 }
 BENCHMARK(BM_HybridQuery)->Unit(benchmark::kMicrosecond);
+
+// The hybrid table fill of the paper's EV6 sign-off flow: 15 blocks of
+// 100 x 100 entries, each a 256-node sum, on one pool thread.
+void BM_HybridConstruction(benchmark::State& state) {
+  static const core::ReliabilityProblem problem = [] {
+    const chip::Design ev6 = chip::make_ev6_design();
+    const core::AnalyticReliabilityModel model;
+    std::vector<double> temps;
+    for (std::size_t j = 0; j < ev6.blocks.size(); ++j)
+      temps.push_back(60.0 + 3.0 * static_cast<double>(j));
+    core::ProblemOptions opts;
+    opts.grid_cells_per_side = 25;
+    return core::ReliabilityProblem::build(ev6, var::VariationBudget{}, model,
+                                           temps, 1.2, opts);
+  }();
+  par::set_threads(1);
+  for (auto _ : state) {
+    const core::HybridEvaluator hybrid(problem);
+    benchmark::DoNotOptimize(hybrid.failure_probability(2e8));
+  }
+  par::set_threads(0);
+  state.SetLabel("EV6 grid 25, 15 x 100 x 100 entries, one thread");
+}
+BENCHMARK(BM_HybridConstruction)->Unit(benchmark::kMillisecond);
 
 void BM_StFastConstruction(benchmark::State& state) {
   for (auto _ : state) {

@@ -10,13 +10,16 @@
 //   matmul (GEMM)     bit-identical
 //   gram_aat (SYRK)   bit-identical
 //   clenshaw_batch    bit-identical (FNV checksum equality)
-//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect
+//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect, hybrid_row
 //                     bit-identical (FNV checksum equality)
 //
 // On top of the exactness gates, each lap gates the per-kernel tier that
 // "auto" dispatch composes (simd::kernel_level): the picked tier's
 // measured time must stay within kAutoSlack of the fastest available
-// tier. That is what keeps the kAutoCap table in dispatch.cpp honest — a
+// tier. The tiers of a lap are timed alternately, batch by batch, and
+// each keeps its fastest batch (kRounds batches per tier), so a slow
+// spell on the host or an unlucky heap placement in one tier's run
+// cannot flip the gate on its own; a lap's seconds are one batch's. That is what keeps the kAutoCap table in dispatch.cpp honest — a
 // widest-tier regression (or a ratio flip on new hardware, e.g. the
 // dot_counts AVX-512 fold overtaking AVX2) fails the bench instead of
 // silently serving a slower kernel.
@@ -41,8 +44,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chip/design.hpp"
 #include "common/csv.hpp"
 #include "common/stopwatch.hpp"
+#include "core/analytic.hpp"
+#include "core/hybrid.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 #include "stats/rng.hpp"
@@ -81,6 +87,12 @@ struct Lap {
 // gate exists to catch is ~1.6x).
 constexpr double kAutoSlack = 1.25;
 
+// Rounds per lap. Each round runs one batch per tier, the tiers in turn
+// with the first one rotating, and a tier's time is its fastest round:
+// a slow spell on the host lands on every tier alike instead of on
+// whichever tier happened to be running.
+constexpr std::size_t kRounds = 10;
+
 double tier_seconds(const Lap& lap, obd::simd::Level level) {
   switch (level) {
     case obd::simd::Level::kAvx512:
@@ -111,42 +123,51 @@ void gate_auto(const char* name, Lap& lap, obd::simd::KernelId id,
 
 volatile double g_sink = 0.0;  // keeps the optimizer honest across reps
 
-// One lap of a bit-identical kernel: `run(table)` runs all reps from the
-// same start state and returns the checksum of the final state, and every
-// available vector tier must reproduce the scalar checksum. When the
-// AVX-512 table serves the AVX2 function (`avx512_is_avx2`), that tier is
-// the same code: it gets the AVX2 timing instead of a second run, so
-// host jitter between two runs of one function cannot fail the auto-tier
-// gate.
-template <typename Run>
-Lap bitwise_lap(const char* name, const std::string& shape, Run run,
-                bool avx2, bool avx512, bool avx512_is_avx2) {
+// One lap: `run(table)` runs one batch of reps from a fixed start state
+// and returns the final state, and `agree(scalar, vector)` is the
+// kernel's contract between the scalar state and a vector tier's. Every
+// available tier runs kRounds batches, interleaved with the others; its
+// time is the fastest batch. When the AVX-512 table serves the AVX2
+// function (`avx512_is_avx2`), that tier is the same code: it gets the
+// AVX2 timing instead of batches of its own, so host jitter between two
+// runs of one function cannot fail the auto-tier gate.
+template <typename Run, typename Agree>
+Lap timed_lap(const char* name, const std::string& shape, const char* gate,
+              Run run, Agree agree, bool avx2, bool avx512,
+              bool avx512_is_avx2) {
+  using obd::simd::KernelTable;
+  const KernelTable* tables[] = {&obd::simd::detail::kScalarKernels,
+                                 &obd::simd::detail::kAvx2Kernels,
+                                 &obd::simd::detail::kAvx512Kernels};
+  const bool timed[] = {true, avx2, avx512 && !avx512_is_avx2};
+  double best[] = {1e300, 1e300, 1e300};
+  std::vector<double> state[3];
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      const std::size_t tier = (round + i) % 3;
+      if (!timed[tier]) continue;
+      obd::Stopwatch sw;
+      state[tier] = run(*tables[tier]);
+      best[tier] = std::min(best[tier], sw.seconds());
+    }
+  }
   Lap lap;
-  obd::Stopwatch sw;
-  const std::uint64_t cs_s = run(obd::simd::detail::kScalarKernels);
-  lap.seconds_scalar = sw.seconds();
+  lap.seconds_scalar = best[0];
   if (avx2) {
-    sw.reset();
-    const std::uint64_t cs = run(obd::simd::detail::kAvx2Kernels);
-    lap.seconds_avx2 = sw.seconds();
+    lap.seconds_avx2 = best[1];
     lap.speedup = lap.seconds_scalar / lap.seconds_avx2;
-    if (cs != cs_s) lap.pass = false;
+    lap.pass = lap.pass && agree(state[0], state[1]);
   }
-  if (avx512 && avx512_is_avx2) {
-    lap.seconds_avx512 = lap.seconds_avx2;
-    lap.speedup_avx512 = lap.speedup;
-  } else if (avx512) {
-    sw.reset();
-    const std::uint64_t cs = run(obd::simd::detail::kAvx512Kernels);
-    lap.seconds_avx512 = sw.seconds();
+  if (avx512) {
+    lap.seconds_avx512 = avx512_is_avx2 ? best[1] : best[2];
     lap.speedup_avx512 = lap.seconds_scalar / lap.seconds_avx512;
-    if (cs != cs_s) lap.pass = false;
+    if (!avx512_is_avx2) lap.pass = lap.pass && agree(state[0], state[2]);
   }
-  std::printf("[%s] %s: scalar %.3f s, avx2 %.3f s (%.1fx), avx512 %.3f s "
-              "(%.1fx), bitwise %s\n",
+  std::printf("[%s] %s: scalar %.4f s, avx2 %.4f s (%.1fx), avx512 %.4f s "
+              "(%.1fx), %s %s\n",
               name, shape.c_str(), lap.seconds_scalar, lap.seconds_avx2,
-              lap.speedup, lap.seconds_avx512, lap.speedup_avx512,
-              lap.pass ? "IDENTICAL" : "DIFFER");
+              lap.speedup, lap.seconds_avx512, lap.speedup_avx512, gate,
+              lap.pass ? "PASS" : "FAIL");
   return lap;
 }
 
@@ -156,6 +177,32 @@ std::uint64_t checksum(const std::vector<double>& v) {
   return cs.value;
 }
 
+// A lap of a bit-identical kernel: every vector tier must reproduce the
+// scalar state's bit checksum.
+template <typename Run>
+Lap bitwise_lap(const char* name, const std::string& shape, Run run,
+                bool avx2, bool avx512, bool avx512_is_avx2) {
+  return timed_lap(
+      name, shape, "bitwise", run,
+      [](const std::vector<double>& a, const std::vector<double>& b) {
+        return checksum(a) == checksum(b);
+      },
+      avx2, avx512, avx512_is_avx2);
+}
+
+// Relative agreement within `tol` wherever the scalar value exceeds
+// `floor` in magnitude.
+auto within(double tol, double floor) {
+  return [tol, floor](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (std::abs(a[i]) > floor &&
+          std::abs(b[i] - a[i]) > tol * std::abs(a[i]))
+        return false;
+    return a.size() == b.size();
+  };
+}
+
 }  // namespace
 
 int main() {
@@ -163,7 +210,6 @@ int main() {
   const std::size_t scale = bench::env_size("OBDREL_SIMD_BENCH_SCALE", 1);
   const bool avx2 = simd::can_use_avx2();
   const bool avx512 = simd::can_use_avx512();
-  const auto& s = simd::detail::kScalarKernels;
   const auto& v = simd::detail::kAvx2Kernels;
   const auto& w = simd::detail::kAvx512Kernels;
 
@@ -174,280 +220,112 @@ int main() {
       avx512 ? "available" : "UNAVAILABLE - laps skipped", scale);
 
   stats::Rng rng(2026);
+  // Each lap's reps are split over kRounds batches per tier.
+  const auto batch = [&](std::size_t reps) {
+    return std::max<std::size_t>(1, reps * scale / kRounds);
+  };
 
   // ------------------------------------------------- fill_bin_factors ----
-  Lap fill;
-  {
-    const std::size_t bins = 512;
-    const std::size_t reps = 20000 * scale;
-    const double gb = -7.25, x_lo = 1.8, step = 0.8 / 512.0;
-    std::vector<double> a(bins), b(bins), c(bins);
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      s.fill_bin_factors(gb, x_lo, step, bins, a.data());
-      g_sink = a[0];
-    }
-    fill.seconds_scalar = sw.seconds();
-    if (avx2) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        v.fill_bin_factors(gb, x_lo, step, bins, b.data());
-        g_sink = b[0];
-      }
-      fill.seconds_avx2 = sw.seconds();
-      fill.speedup = fill.seconds_scalar / fill.seconds_avx2;
-      for (std::size_t i = 0; i < bins; ++i)
-        if (std::abs(b[i] - a[i]) / a[i] > 1e-12) fill.pass = false;
-    }
-    if (avx512) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        w.fill_bin_factors(gb, x_lo, step, bins, c.data());
-        g_sink = c[0];
-      }
-      fill.seconds_avx512 = sw.seconds();
-      fill.speedup_avx512 = fill.seconds_scalar / fill.seconds_avx512;
-      for (std::size_t i = 0; i < bins; ++i)
-        if (std::abs(c[i] - a[i]) / a[i] > 1e-12) fill.pass = false;
-    }
-    std::printf("[fill_bin_factors] %zu bins x %zu: scalar %.3f s, avx2 "
-                "%.3f s (%.1fx), avx512 %.3f s (%.1fx), drift gate %s\n",
-                bins, reps, fill.seconds_scalar, fill.seconds_avx2,
-                fill.speedup, fill.seconds_avx512, fill.speedup_avx512,
-                fill.pass ? "PASS" : "FAIL");
-  }
+  const std::size_t bins = 512;
+  Lap fill = timed_lap(
+      "fill_bin_factors", std::to_string(bins) + " bins x 20000",
+      "drift gate",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(bins);
+        for (std::size_t r = 0; r < batch(20000); ++r) {
+          t.fill_bin_factors(-7.25, 1.8, 0.8 / 512.0, bins, out.data());
+          g_sink = out[0];
+        }
+        return out;
+      },
+      within(1e-12, 0.0), avx2, avx512, false);
 
   // ------------------------------------------------------- dot_counts ----
-  Lap dot;
-  {
-    const std::size_t n = 4096;
-    const std::size_t reps = 50000 * scale;
-    std::vector<std::uint32_t> c(n);
-    std::vector<double> e(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      c[i] = static_cast<std::uint32_t>(rng.uniform() * 1e6);
-      e[i] = std::exp(-6.0 * rng.uniform());
-    }
-    BitChecksum cs_s, cs_v, cs_w;
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r)
-      g_sink = s.dot_counts(c.data(), e.data(), n);
-    dot.seconds_scalar = sw.seconds();
-    cs_s.add(s.dot_counts(c.data(), e.data(), n));
-    if (avx2) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r)
-        g_sink = v.dot_counts(c.data(), e.data(), n);
-      dot.seconds_avx2 = sw.seconds();
-      dot.speedup = dot.seconds_scalar / dot.seconds_avx2;
-      cs_v.add(v.dot_counts(c.data(), e.data(), n));
-      if (cs_s.value != cs_v.value) dot.pass = false;
-    }
-    if (avx512) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r)
-        g_sink = w.dot_counts(c.data(), e.data(), n);
-      dot.seconds_avx512 = sw.seconds();
-      dot.speedup_avx512 = dot.seconds_scalar / dot.seconds_avx512;
-      cs_w.add(w.dot_counts(c.data(), e.data(), n));
-      if (cs_s.value != cs_w.value) dot.pass = false;
-    }
-    std::printf("[dot_counts] n=%zu x %zu: scalar %.3f s, avx2 %.3f s "
-                "(%.1fx), avx512 %.3f s (%.1fx), bitwise %s\n",
-                n, reps, dot.seconds_scalar, dot.seconds_avx2, dot.speedup,
-                dot.seconds_avx512, dot.speedup_avx512,
-                dot.pass ? "IDENTICAL" : "DIFFER");
+  const std::size_t dot_n = 4096;
+  std::vector<std::uint32_t> counts(dot_n);
+  std::vector<double> factors(dot_n);
+  for (std::size_t i = 0; i < dot_n; ++i) {
+    counts[i] = static_cast<std::uint32_t>(rng.uniform() * 1e6);
+    factors[i] = std::exp(-6.0 * rng.uniform());
   }
+  Lap dot = bitwise_lap(
+      "dot_counts", "n=" + std::to_string(dot_n) + " x 50000",
+      [&](const simd::KernelTable& t) {
+        double sum = 0.0;
+        for (std::size_t r = 0; r < batch(50000); ++r)
+          g_sink = sum = t.dot_counts(counts.data(), factors.data(), dot_n);
+        return std::vector<double>{sum};
+      },
+      avx2, avx512, false);
 
   // -------------------------------------------------- normal_cdf_batch ----
-  Lap cdf;
-  {
-    const std::size_t n = 4096;
-    const std::size_t reps = 2000 * scale;
-    std::vector<double> z(n), a(n), b(n), c(n);
-    for (std::size_t i = 0; i < n; ++i) z[i] = -20.0 + 40.0 * rng.uniform();
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      s.normal_cdf_batch(z.data(), n, a.data());
-      g_sink = a[0];
-    }
-    cdf.seconds_scalar = sw.seconds();
-    if (avx2) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        v.normal_cdf_batch(z.data(), n, b.data());
-        g_sink = b[0];
-      }
-      cdf.seconds_avx2 = sw.seconds();
-      cdf.speedup = cdf.seconds_scalar / cdf.seconds_avx2;
-      for (std::size_t i = 0; i < n; ++i)
-        if (a[i] > 1e-300 && std::abs(b[i] - a[i]) / a[i] > 1e-12)
-          cdf.pass = false;
-    }
-    if (avx512) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        w.normal_cdf_batch(z.data(), n, c.data());
-        g_sink = c[0];
-      }
-      cdf.seconds_avx512 = sw.seconds();
-      cdf.speedup_avx512 = cdf.seconds_scalar / cdf.seconds_avx512;
-      for (std::size_t i = 0; i < n; ++i)
-        if (a[i] > 1e-300 && std::abs(c[i] - a[i]) / a[i] > 1e-12)
-          cdf.pass = false;
-    }
-    std::printf("[normal_cdf_batch] n=%zu x %zu: scalar %.3f s, avx2 %.3f "
-                "s (%.1fx), avx512 %.3f s (%.1fx), error gate %s\n",
-                n, reps, cdf.seconds_scalar, cdf.seconds_avx2, cdf.speedup,
-                cdf.seconds_avx512, cdf.speedup_avx512,
-                cdf.pass ? "PASS" : "FAIL");
-  }
+  const std::size_t cdf_n = 4096;
+  std::vector<double> z(cdf_n);
+  for (double& x : z) x = -20.0 + 40.0 * rng.uniform();
+  Lap cdf = timed_lap(
+      "normal_cdf_batch", "n=" + std::to_string(cdf_n) + " x 2000",
+      "error gate",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(cdf_n);
+        for (std::size_t r = 0; r < batch(2000); ++r) {
+          t.normal_cdf_batch(z.data(), cdf_n, out.data());
+          g_sink = out[0];
+        }
+        return out;
+      },
+      within(1e-12, 1e-300), avx2, avx512, false);
 
   // ------------------------------------------------------ matmul (GEMM) ----
-  Lap gemm;
-  {
-    const std::size_t m = 96, k = 96, n = 96;
-    const std::size_t reps = 200 * scale;
-    std::vector<double> a(m * k), bm(k * n), os(m * n), ov(m * n), ow(m * n);
-    for (double& x : a) x = rng.normal();
-    for (double& x : bm) x = rng.normal();
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      std::fill(os.begin(), os.end(), 0.0);
-      s.matmul(a.data(), bm.data(), os.data(), m, k, n);
-      g_sink = os[0];
-    }
-    gemm.seconds_scalar = sw.seconds();
-    BitChecksum cs_s;
-    for (std::size_t i = 0; i < m * n; ++i) cs_s.add(os[i]);
-    if (avx2) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        std::fill(ov.begin(), ov.end(), 0.0);
-        v.matmul(a.data(), bm.data(), ov.data(), m, k, n);
-        g_sink = ov[0];
-      }
-      gemm.seconds_avx2 = sw.seconds();
-      gemm.speedup = gemm.seconds_scalar / gemm.seconds_avx2;
-      BitChecksum cs_v;
-      for (std::size_t i = 0; i < m * n; ++i) cs_v.add(ov[i]);
-      if (cs_s.value != cs_v.value) gemm.pass = false;
-    }
-    if (avx512) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        std::fill(ow.begin(), ow.end(), 0.0);
-        w.matmul(a.data(), bm.data(), ow.data(), m, k, n);
-        g_sink = ow[0];
-      }
-      gemm.seconds_avx512 = sw.seconds();
-      gemm.speedup_avx512 = gemm.seconds_scalar / gemm.seconds_avx512;
-      BitChecksum cs_w;
-      for (std::size_t i = 0; i < m * n; ++i) cs_w.add(ow[i]);
-      if (cs_s.value != cs_w.value) gemm.pass = false;
-    }
-    std::printf("[matmul] %zux%zux%zu x %zu: scalar %.3f s, avx2 %.3f s "
-                "(%.1fx), avx512 %.3f s (%.1fx), bitwise %s\n",
-                m, k, n, reps, gemm.seconds_scalar, gemm.seconds_avx2,
-                gemm.speedup, gemm.seconds_avx512, gemm.speedup_avx512,
-                gemm.pass ? "IDENTICAL" : "DIFFER");
-  }
+  const std::size_t mm = 96;
+  std::vector<double> ma(mm * mm), mb(mm * mm);
+  for (double& x : ma) x = rng.normal();
+  for (double& x : mb) x = rng.normal();
+  Lap gemm = bitwise_lap(
+      "matmul", "96x96x96 x 200",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(mm * mm);
+        for (std::size_t r = 0; r < batch(200); ++r) {
+          std::fill(out.begin(), out.end(), 0.0);
+          t.matmul(ma.data(), mb.data(), out.data(), mm, mm, mm);
+          g_sink = out[0];
+        }
+        return out;
+      },
+      avx2, avx512, false);
 
   // ---------------------------------------------------- gram_aat (SYRK) ----
-  Lap gram;
-  {
-    const std::size_t n = 144, k = 512;
-    const std::size_t reps = 100 * scale;
-    std::vector<double> a(n * k), gs(n * n), gv(n * n), gw(n * n);
-    for (double& x : a) x = rng.normal();
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      s.gram_aat(a.data(), gs.data(), n, k);
-      g_sink = gs[0];
-    }
-    gram.seconds_scalar = sw.seconds();
-    BitChecksum cs_s;
-    for (std::size_t i = 0; i < n * n; ++i) cs_s.add(gs[i]);
-    if (avx2) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        v.gram_aat(a.data(), gv.data(), n, k);
-        g_sink = gv[0];
-      }
-      gram.seconds_avx2 = sw.seconds();
-      gram.speedup = gram.seconds_scalar / gram.seconds_avx2;
-      BitChecksum cs_v;
-      for (std::size_t i = 0; i < n * n; ++i) cs_v.add(gv[i]);
-      if (cs_s.value != cs_v.value) gram.pass = false;
-    }
-    if (avx512) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        w.gram_aat(a.data(), gw.data(), n, k);
-        g_sink = gw[0];
-      }
-      gram.seconds_avx512 = sw.seconds();
-      gram.speedup_avx512 = gram.seconds_scalar / gram.seconds_avx512;
-      BitChecksum cs_w;
-      for (std::size_t i = 0; i < n * n; ++i) cs_w.add(gw[i]);
-      if (cs_s.value != cs_w.value) gram.pass = false;
-    }
-    std::printf("[gram_aat] %zux%zu x %zu: scalar %.3f s, avx2 %.3f s "
-                "(%.1fx), avx512 %.3f s (%.1fx), bitwise %s\n",
-                n, k, reps, gram.seconds_scalar, gram.seconds_avx2,
-                gram.speedup, gram.seconds_avx512, gram.speedup_avx512,
-                gram.pass ? "IDENTICAL" : "DIFFER");
-  }
+  const std::size_t gn = 144, gk = 512;
+  std::vector<double> ga(gn * gk);
+  for (double& x : ga) x = rng.normal();
+  Lap gram = bitwise_lap(
+      "gram_aat", "144x512 x 100",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(gn * gn);
+        for (std::size_t r = 0; r < batch(100); ++r) {
+          t.gram_aat(ga.data(), out.data(), gn, gk);
+          g_sink = out[0];
+        }
+        return out;
+      },
+      avx2, avx512, false);
 
   // --------------------------------------------------- clenshaw_batch ----
-  Lap clen;
-  {
-    const std::size_t n = 25, m = 64;
-    const std::size_t reps = 100000 * scale;
-    std::vector<double> coeffs(n * m), os(m), ov(m), ow(m);
-    for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t p = 0; p < m; ++p)
-        coeffs[k * m + p] =
-            rng.normal() / (1.0 + static_cast<double>(k * k));
-    const double u = -0.37;
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      s.clenshaw_batch(coeffs.data(), n, m, u, os.data());
-      g_sink = os[0];
-    }
-    clen.seconds_scalar = sw.seconds();
-    BitChecksum cs_s;
-    for (std::size_t p = 0; p < m; ++p) cs_s.add(os[p]);
-    if (avx2) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        v.clenshaw_batch(coeffs.data(), n, m, u, ov.data());
-        g_sink = ov[0];
-      }
-      clen.seconds_avx2 = sw.seconds();
-      clen.speedup = clen.seconds_scalar / clen.seconds_avx2;
-      BitChecksum cs_v;
-      for (std::size_t p = 0; p < m; ++p) cs_v.add(ov[p]);
-      if (cs_s.value != cs_v.value) clen.pass = false;
-    }
-    if (avx512) {
-      sw.reset();
-      for (std::size_t r = 0; r < reps; ++r) {
-        w.clenshaw_batch(coeffs.data(), n, m, u, ow.data());
-        g_sink = ow[0];
-      }
-      clen.seconds_avx512 = sw.seconds();
-      clen.speedup_avx512 = clen.seconds_scalar / clen.seconds_avx512;
-      BitChecksum cs_w;
-      for (std::size_t p = 0; p < m; ++p) cs_w.add(ow[p]);
-      if (cs_s.value != cs_w.value) clen.pass = false;
-    }
-    std::printf("[clenshaw_batch] n=%zu m=%zu x %zu: scalar %.3f s, avx2 "
-                "%.3f s (%.1fx), avx512 %.3f s (%.1fx), bitwise %s\n",
-                n, m, reps, clen.seconds_scalar, clen.seconds_avx2,
-                clen.speedup, clen.seconds_avx512, clen.speedup_avx512,
-                clen.pass ? "IDENTICAL" : "DIFFER");
-  }
+  const std::size_t cn = 25, cm = 64;
+  std::vector<double> coeffs(cn * cm);
+  for (std::size_t k = 0; k < cn; ++k)
+    for (std::size_t p = 0; p < cm; ++p)
+      coeffs[k * cm + p] = rng.normal() / (1.0 + static_cast<double>(k * k));
+  Lap clen = bitwise_lap(
+      "clenshaw_batch", "n=25 m=64 x 100000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(cm);
+        for (std::size_t r = 0; r < batch(100000); ++r) {
+          t.clenshaw_batch(coeffs.data(), cn, cm, -0.37, out.data());
+          g_sink = out[0];
+        }
+        return out;
+      },
+      avx2, avx512, false);
 
   // ------------------------------------------------ eigensolver kernels ----
   // Grid-32 row length. The rotation, rank-2 and reflection laps feed
@@ -460,9 +338,9 @@ int main() {
       "tql2_rotate", "n=" + std::to_string(en) + " x 100000",
       [&](const simd::KernelTable& t) {
         std::vector<double> z = rows;
-        for (std::size_t r = 0; r < 100000 * scale; ++r)
+        for (std::size_t r = 0; r < batch(100000); ++r)
           t.tql2_rotate(z.data(), z.data() + en, 0.6, -0.8, en);
-        return checksum(z);
+        return z;
       },
       avx2, avx512, w.tql2_rotate == v.tql2_rotate);
 
@@ -475,11 +353,11 @@ int main() {
       "tred2_symv", "m=" + std::to_string(em) + " x 4000",
       [&](const simd::KernelTable& t) {
         std::vector<double> e(em);
-        for (std::size_t r = 0; r < 4000 * scale; ++r) {
+        for (std::size_t r = 0; r < batch(4000); ++r) {
           t.tred2_symv(tri.data(), en, tri_u, em, e.data());
           g_sink = e[0];
         }
-        return checksum(e);
+        return e;
       },
       avx2, avx512, w.tred2_symv == v.tred2_symv);
   Lap rank2 = bitwise_lap(
@@ -487,10 +365,11 @@ int main() {
       [&](const simd::KernelTable& t) {
         std::vector<double> a = tri;
         std::vector<double> e(tri.begin(), tri.begin() + em);
-        for (std::size_t r = 0; r < 4000 * scale; ++r)
+        for (std::size_t r = 0; r < batch(4000); ++r)
           t.tred2_rank2(a.data(), en, a.data() + em * en, 1e-3, em,
                         e.data());
-        return checksum(a) ^ checksum(e);
+        a.insert(a.end(), e.begin(), e.end());
+        return a;
       },
       avx2, avx512, w.tred2_rank2 == v.tred2_rank2);
   // w = 2u / |u|^2 makes each call a Householder reflection, so repeated
@@ -503,12 +382,54 @@ int main() {
       "tred2_reflect", "m=" + std::to_string(em) + " x 2000",
       [&](const simd::KernelTable& t) {
         std::vector<double> a = tri;
-        for (std::size_t r = 0; r < 2000 * scale; ++r)
+        for (std::size_t r = 0; r < batch(2000); ++r)
           t.tred2_reflect(a.data(), en, em, a.data() + em * en,
                           refl_w.data(), em);
-        return checksum(a);
+        return a;
       },
       avx2, avx512, w.tred2_reflect == v.tred2_reflect);
+
+  // ------------------------------------------------------- hybrid_row ----
+  // Every 5th gamma row of one block's default 100 x 100 table, with the
+  // 256 (u, v) nodes of a real problem's first block.
+  const chip::Design design = chip::make_synthetic_design(
+      "simd", {.devices = 30000, .block_count = 2, .seed = 5});
+  core::ProblemOptions popts;
+  popts.grid_cells_per_side = 8;
+  const core::ReliabilityProblem problem = core::ReliabilityProblem::build(
+      design, var::VariationBudget{}, core::AnalyticReliabilityModel{},
+      {80.0, 60.0}, 1.2, popts);
+  const core::HybridOptions hopts;
+  std::vector<double> nu, nv, nw;
+  const core::AnalyticAnalyzer integrator(problem);
+  for (const auto& node : integrator.nodes()[0]) {
+    nu.push_back(node.u);
+    nv.push_back(node.v);
+    nw.push_back(node.weight);
+  }
+  const double area = problem.blocks()[0].area;
+  const double d_gamma = (hopts.gamma_hi - hopts.gamma_lo) /
+                         static_cast<double>(hopts.n_gamma - 1);
+  const double d_b =
+      (hopts.b_hi - hopts.b_lo) / static_cast<double>(hopts.n_b - 1);
+  Lap hrow = bitwise_lap(
+      "hybrid_row",
+      std::to_string(hopts.n_gamma / 5) + " rows x " +
+          std::to_string(hopts.n_b) + " entries x " +
+          std::to_string(nu.size()) + " nodes x 10",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> table(hopts.n_gamma * hopts.n_b);
+        for (std::size_t r = 0; r < batch(10); ++r) {
+          for (std::size_t ig = 0; ig < hopts.n_gamma; ig += 5)
+            t.hybrid_row(nu.data(), nv.data(), nw.data(), nu.size(),
+                         hopts.gamma_lo + static_cast<double>(ig) * d_gamma,
+                         hopts.b_lo, d_b, area, hopts.n_b,
+                         table.data() + ig * hopts.n_b);
+          g_sink = table[0];
+        }
+        return table;
+      },
+      avx2, avx512, w.hybrid_row == v.hybrid_row);
 
   // Per-kernel auto-tier gates against this run's own timings.
   std::printf("\n");
@@ -528,11 +449,12 @@ int main() {
   gate_auto("tred2_rank2", rank2, simd::KernelId::kTred2Rank2, avx2, avx512);
   gate_auto("tred2_reflect", reflect, simd::KernelId::kTred2Reflect, avx2,
             avx512);
+  gate_auto("hybrid_row", hrow, simd::KernelId::kHybridRow, avx2, avx512);
 
   bool pass = true;
   for (const Lap* lap :
        {&fill, &dot, &cdf, &gemm, &gram, &clen, &rotate, &symv, &rank2,
-        &reflect})
+        &reflect, &hrow})
     pass = pass && lap->pass && lap->auto_pass;
   std::printf("\nexactness + auto-tier gates %s\n", pass ? "PASS" : "FAIL");
 
@@ -568,7 +490,8 @@ int main() {
   emit("tql2_rotate", rotate);
   emit("tred2_symv", symv);
   emit("tred2_rank2", rank2);
-  emit("tred2_reflect", reflect, true);
+  emit("tred2_reflect", reflect);
+  emit("hybrid_row", hrow, true);
   out << "}\n";
   std::printf("(wrote %s)\n", path.c_str());
   return pass ? 0 : 1;
