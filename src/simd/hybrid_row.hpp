@@ -10,12 +10,12 @@
 // until a level instantiates it with its own ISA flags.
 //
 // Ops provides: V (lane vector), M (lane mask), kWidth, set1, iota (lane
-// l holds double(i0 + l)), add, sub, mul, abs, fma
-// (a*b + c, one rounding), fnma (c - a*b, one rounding), round_nearest
-// (ties to even), max/min with x86 maxpd/minpd semantics (a > b ? a : b,
-// so a NaN in b comes back), scale_pow2 (p * 2^n1 * 2^n2 for n1 = n >> 1,
-// n2 = n - n1 with n = int(nf)), lt/gt (ordered compares), select (a
-// where the mask is set, else b), any, all and store.
+// l holds double(i0 + l)), add, sub, mul, abs, fma (a*b + c, one
+// rounding), fnma (c - a*b, one rounding), round_nearest (ties to even),
+// max/min with x86 maxpd/minpd semantics (a > b ? a : b, so a NaN in b
+// comes back), scale_pow2 (p * 2^n1 * 2^n2 for n1 = n >> 1, n2 = n - n1
+// with n = int(nf)), lt/gt (ordered compares), select (a where the mask
+// is set, else b), any, all and store.
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,8 @@
 // end-to-end runtime now that the algorithmic fast paths are in place
 // (see docs/PERFORMANCE.md, "SIMD kernels"). Three implementations exist:
 // a scalar reference (`kernels_scalar.cpp`, compiled at the baseline ISA,
-// bit-identical to the loops it replaced), an AVX2+FMA variant
+// bit-identical to the loops it replaced except hybrid_row, which traded
+// libm's exp/expm1 for portable ones), an AVX2+FMA variant
 // (`kernels_avx2.cpp`, compiled per-file with -mavx2 -mfma), and an
 // AVX-512F/DQ variant (`kernels_avx512.cpp`, compiled per-file with
 // -mavx512f -mavx512dq). Dispatch between them is a process-wide runtime
