@@ -16,13 +16,14 @@
 // On top of the exactness gates, each lap gates the per-kernel tier that
 // "auto" dispatch composes (simd::kernel_level): the picked tier's
 // measured time must stay within kAutoSlack of the fastest available
-// tier. The tiers of a lap are timed alternately, batch by batch, and
-// each keeps its fastest batch (kRounds batches per tier), so a slow
-// spell on the host or an unlucky heap placement in one tier's run
-// cannot flip the gate on its own; a lap's seconds are one batch's. That is what keeps the kAutoCap table in dispatch.cpp honest — a
+// tier. That is what keeps the kAutoCap table in dispatch.cpp honest — a
 // widest-tier regression (or a ratio flip on new hardware, e.g. the
 // dot_counts AVX-512 fold overtaking AVX2) fails the bench instead of
-// silently serving a slower kernel.
+// silently serving a slower kernel. The tiers of a lap are timed
+// alternately, batch by batch, and each keeps its fastest batch (kRounds
+// batches per tier), so a slow spell on the host or an unlucky heap
+// placement in one tier's run cannot flip the gate on its own; a lap's
+// seconds are one batch's.
 //
 // Results go to BENCH_simd.json (in $OBDREL_CSV_DIR when set). The exit
 // code reflects the exactness and auto-tier gates only; raw speedups are

@@ -40,8 +40,8 @@ void store(Level level, bool forced) {
 // 256-bit accumulator lanes costs two extracts plus two adds per eight
 // elements, which AVX2 simply doesn't pay. The eigensolver kernels and
 // hybrid_row have no AVX-512 variant (that table serves the AVX2 ones),
-// so their cap names the tier that actually runs. Every other kernel wins at the
-// widest tier. bench/simd_kernels.cpp gates that the tier `auto` picks
+// so their cap names the tier that actually runs. Every other kernel wins
+// at the widest tier. bench/simd_kernels.cpp gates that the tier `auto` picks
 // per kernel stays within tolerance of the fastest measured tier, so a
 // regression here (or a ratio flip on new hardware) fails the bench.
 struct AutoCap {
