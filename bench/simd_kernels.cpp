@@ -1,8 +1,7 @@
-// Scalar vs AVX2 vs AVX-512 timings and exactness gates for the
-// dispatched SIMD kernel layer (src/simd). Each section times the scalar
-// reference table against the vector tables on the same inputs and checks
-// the contract from simd/kernels.hpp (the same contract for both vector
-// tiers):
+// Scalar vs AVX2 timings and exactness gates for the dispatched SIMD
+// kernel layer (src/simd). Each section times the scalar reference table
+// against the AVX2 table on the same inputs and checks the contract from
+// simd/kernels.hpp:
 //
 //   fill_bin_factors  bounded relative drift (<= 1e-12 vs scalar)
 //   dot_counts        bit-identical (FNV checksum equality)
@@ -13,13 +12,12 @@
 //   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect, hybrid_row
 //                     bit-identical (FNV checksum equality)
 //
-// On top of the exactness gates, each lap gates the per-kernel tier that
-// "auto" dispatch composes (simd::kernel_level): the picked tier's
-// measured time must stay within kAutoSlack of the fastest available
-// tier. That is what keeps the kAutoCap table in dispatch.cpp honest — a
-// widest-tier regression (or a ratio flip on new hardware, e.g. the
-// dot_counts AVX-512 fold overtaking AVX2) fails the bench instead of
-// silently serving a slower kernel. The tiers of a lap are timed
+// On top of the exactness gates, each lap gates the tier that "auto"
+// dispatch serves for the kernel (simd::kernel_level, the AVX2 table
+// wherever it can run): its measured time must stay within kAutoSlack of
+// the fastest tier, i.e. the vector tier must still pay for itself over
+// scalar per kernel. A vector-kernel regression fails the bench instead
+// of silently serving a slower kernel. The tiers of a lap are timed
 // alternately, batch by batch, and each keeps its fastest batch (kRounds
 // batches per tier), so a slow spell on the host or an unlucky heap
 // placement in one tier's run cannot flip the gate on its own; a lap's
@@ -27,11 +25,10 @@
 //
 // Results go to BENCH_simd.json (in $OBDREL_CSV_DIR when set). The exit
 // code reflects the exactness and auto-tier gates only; raw speedups are
-// reported for the acceptance tables but depend on the host. When a
-// vector tier is unavailable its laps are skipped and the gates pass
-// vacuously (recorded as "avx2_available" / "avx512_available": false).
-// Per-lap JSON keeps the original scalar/AVX2 keys and adds
-// seconds_avx512 / speedup_avx512 / auto_tier / auto_margin / auto_pass.
+// reported for the acceptance tables but depend on the host. Without
+// AVX2 the vector laps are skipped and the gates pass vacuously
+// (recorded as "avx2_available": false). Per-lap JSON holds the scalar
+// and AVX2 seconds, the speedup, auto_tier, auto_margin and auto_pass.
 //
 // Scaling knob: OBDREL_SIMD_BENCH_SCALE multiplies every rep count
 // (default 1; CI smoke uses the default).
@@ -73,10 +70,8 @@ struct BitChecksum {
 struct Lap {
   double seconds_scalar = 0.0;
   double seconds_avx2 = 0.0;
-  double seconds_avx512 = 0.0;
-  double speedup = 0.0;         // scalar / avx2
-  double speedup_avx512 = 0.0;  // scalar / avx512
-  bool pass = true;             // every available tier met its gate
+  double speedup = 0.0;  // scalar / avx2
+  bool pass = true;      // the AVX2 tier, when available, met its gate
   obd::simd::Level auto_tier = obd::simd::Level::kScalar;  // what auto picks
   double auto_margin = 0.0;  // picked tier seconds / fastest tier seconds
   bool auto_pass = true;     // auto_margin <= kAutoSlack
@@ -84,8 +79,7 @@ struct Lap {
 
 // Timing slack for the auto-tier gate: the picked tier may trail the
 // fastest measured tier by this factor before the gate fails (run-to-run
-// jitter on a shared box is real; the dot_counts AVX-512/AVX2 gap this
-// gate exists to catch is ~1.6x).
+// jitter on a shared box is real).
 constexpr double kAutoSlack = 1.25;
 
 // Rounds per lap. Each round runs one batch per tier, the tiers in turn
@@ -94,27 +88,18 @@ constexpr double kAutoSlack = 1.25;
 // whichever tier happened to be running.
 constexpr std::size_t kRounds = 10;
 
-double tier_seconds(const Lap& lap, obd::simd::Level level) {
-  switch (level) {
-    case obd::simd::Level::kAvx512:
-      return lap.seconds_avx512;
-    case obd::simd::Level::kAvx2:
-      return lap.seconds_avx2;
-    default:
-      return lap.seconds_scalar;
-  }
-}
-
-// Gates that the tier "auto" composes for `id` is (within slack) the
+// Gates that the tier "auto" serves for `id` is (within slack) the
 // fastest one this run measured. Requires simd::configure("auto") to have
-// run so kernel_level reflects the composed table.
+// run so kernel_level reports the auto tier.
 void gate_auto(const char* name, Lap& lap, obd::simd::KernelId id,
-               bool avx2, bool avx512) {
+               bool avx2) {
   lap.auto_tier = obd::simd::kernel_level(id);
-  double best = lap.seconds_scalar;
-  if (avx2) best = std::min(best, lap.seconds_avx2);
-  if (avx512) best = std::min(best, lap.seconds_avx512);
-  const double picked = tier_seconds(lap, lap.auto_tier);
+  const double best =
+      avx2 ? std::min(lap.seconds_scalar, lap.seconds_avx2)
+           : lap.seconds_scalar;
+  const double picked = lap.auto_tier == obd::simd::Level::kAvx2
+                            ? lap.seconds_avx2
+                            : lap.seconds_scalar;
   lap.auto_margin = best > 0.0 ? picked / best : 1.0;
   lap.auto_pass = lap.auto_margin <= kAutoSlack;
   std::printf("[%s] auto picks %s (%.2fx of fastest) %s\n", name,
@@ -126,26 +111,21 @@ volatile double g_sink = 0.0;  // keeps the optimizer honest across reps
 
 // One lap: `run(table)` runs one batch of reps from a fixed start state
 // and returns the final state, and `agree(scalar, vector)` is the
-// kernel's contract between the scalar state and a vector tier's. Every
-// available tier runs kRounds batches, interleaved with the others; its
-// time is the fastest batch. When the AVX-512 table serves the AVX2
-// function (`avx512_is_avx2`), that tier is the same code: it gets the
-// AVX2 timing instead of batches of its own, so host jitter between two
-// runs of one function cannot fail the auto-tier gate.
+// kernel's contract between the scalar state and the AVX2 tier's. Each
+// available tier runs kRounds batches, interleaved with the other; its
+// time is the fastest batch.
 template <typename Run, typename Agree>
 Lap timed_lap(const char* name, const std::string& shape, const char* gate,
-              Run run, Agree agree, bool avx2, bool avx512,
-              bool avx512_is_avx2) {
+              Run run, Agree agree, bool avx2) {
   using obd::simd::KernelTable;
   const KernelTable* tables[] = {&obd::simd::detail::kScalarKernels,
-                                 &obd::simd::detail::kAvx2Kernels,
-                                 &obd::simd::detail::kAvx512Kernels};
-  const bool timed[] = {true, avx2, avx512 && !avx512_is_avx2};
-  double best[] = {1e300, 1e300, 1e300};
-  std::vector<double> state[3];
+                                 &obd::simd::detail::kAvx2Kernels};
+  const bool timed[] = {true, avx2};
+  double best[] = {1e300, 1e300};
+  std::vector<double> state[2];
   for (std::size_t round = 0; round < kRounds; ++round) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      const std::size_t tier = (round + i) % 3;
+    for (std::size_t i = 0; i < 2; ++i) {
+      const std::size_t tier = (round + i) % 2;
       if (!timed[tier]) continue;
       obd::Stopwatch sw;
       state[tier] = run(*tables[tier]);
@@ -157,18 +137,11 @@ Lap timed_lap(const char* name, const std::string& shape, const char* gate,
   if (avx2) {
     lap.seconds_avx2 = best[1];
     lap.speedup = lap.seconds_scalar / lap.seconds_avx2;
-    lap.pass = lap.pass && agree(state[0], state[1]);
+    lap.pass = agree(state[0], state[1]);
   }
-  if (avx512) {
-    lap.seconds_avx512 = avx512_is_avx2 ? best[1] : best[2];
-    lap.speedup_avx512 = lap.seconds_scalar / lap.seconds_avx512;
-    if (!avx512_is_avx2) lap.pass = lap.pass && agree(state[0], state[2]);
-  }
-  std::printf("[%s] %s: scalar %.4f s, avx2 %.4f s (%.1fx), avx512 %.4f s "
-              "(%.1fx), %s %s\n",
-              name, shape.c_str(), lap.seconds_scalar, lap.seconds_avx2,
-              lap.speedup, lap.seconds_avx512, lap.speedup_avx512, gate,
-              lap.pass ? "PASS" : "FAIL");
+  std::printf("[%s] %s: scalar %.4f s, avx2 %.4f s (%.1fx), %s %s\n", name,
+              shape.c_str(), lap.seconds_scalar, lap.seconds_avx2,
+              lap.speedup, gate, lap.pass ? "PASS" : "FAIL");
   return lap;
 }
 
@@ -178,17 +151,17 @@ std::uint64_t checksum(const std::vector<double>& v) {
   return cs.value;
 }
 
-// A lap of a bit-identical kernel: every vector tier must reproduce the
+// A lap of a bit-identical kernel: the AVX2 tier must reproduce the
 // scalar state's bit checksum.
 template <typename Run>
 Lap bitwise_lap(const char* name, const std::string& shape, Run run,
-                bool avx2, bool avx512, bool avx512_is_avx2) {
+                bool avx2) {
   return timed_lap(
       name, shape, "bitwise", run,
       [](const std::vector<double>& a, const std::vector<double>& b) {
         return checksum(a) == checksum(b);
       },
-      avx2, avx512, avx512_is_avx2);
+      avx2);
 }
 
 // Relative agreement within `tol` wherever the scalar value exceeds
@@ -210,15 +183,9 @@ int main() {
   using namespace obd;
   const std::size_t scale = bench::env_size("OBDREL_SIMD_BENCH_SCALE", 1);
   const bool avx2 = simd::can_use_avx2();
-  const bool avx512 = simd::can_use_avx512();
-  const auto& v = simd::detail::kAvx2Kernels;
-  const auto& w = simd::detail::kAvx512Kernels;
 
-  std::printf(
-      "SIMD kernel layer: scalar vs AVX2 vs AVX-512 (avx2+fma %s, "
-      "avx512f+dq %s), scale %zu\n\n",
-      avx2 ? "available" : "UNAVAILABLE - laps skipped",
-      avx512 ? "available" : "UNAVAILABLE - laps skipped", scale);
+  std::printf("SIMD kernel layer: scalar vs AVX2 (avx2+fma %s), scale %zu\n\n",
+              avx2 ? "available" : "UNAVAILABLE - laps skipped", scale);
 
   stats::Rng rng(2026);
   // Each lap's reps are split over kRounds batches per tier.
@@ -239,7 +206,7 @@ int main() {
         }
         return out;
       },
-      within(1e-12, 0.0), avx2, avx512, false);
+      within(1e-12, 0.0), avx2);
 
   // ------------------------------------------------------- dot_counts ----
   const std::size_t dot_n = 4096;
@@ -257,7 +224,7 @@ int main() {
           g_sink = sum = t.dot_counts(counts.data(), factors.data(), dot_n);
         return std::vector<double>{sum};
       },
-      avx2, avx512, false);
+      avx2);
 
   // -------------------------------------------------- normal_cdf_batch ----
   const std::size_t cdf_n = 4096;
@@ -274,7 +241,7 @@ int main() {
         }
         return out;
       },
-      within(1e-12, 1e-300), avx2, avx512, false);
+      within(1e-12, 1e-300), avx2);
 
   // ------------------------------------------------------ matmul (GEMM) ----
   const std::size_t mm = 96;
@@ -292,7 +259,7 @@ int main() {
         }
         return out;
       },
-      avx2, avx512, false);
+      avx2);
 
   // ---------------------------------------------------- gram_aat (SYRK) ----
   const std::size_t gn = 144, gk = 512;
@@ -308,7 +275,7 @@ int main() {
         }
         return out;
       },
-      avx2, avx512, false);
+      avx2);
 
   // --------------------------------------------------- clenshaw_batch ----
   const std::size_t cn = 25, cm = 64;
@@ -326,7 +293,7 @@ int main() {
         }
         return out;
       },
-      avx2, avx512, false);
+      avx2);
 
   // ------------------------------------------------ eigensolver kernels ----
   // Grid-32 row length. The rotation, rank-2 and reflection laps feed
@@ -343,7 +310,7 @@ int main() {
           t.tql2_rotate(z.data(), z.data() + en, 0.6, -0.8, en);
         return z;
       },
-      avx2, avx512, w.tql2_rotate == v.tql2_rotate);
+      avx2);
 
   // An m x m lower triangle with u as row m, as tred2 calls the kernels.
   const std::size_t em = 256;
@@ -360,7 +327,7 @@ int main() {
         }
         return e;
       },
-      avx2, avx512, w.tred2_symv == v.tred2_symv);
+      avx2);
   Lap rank2 = bitwise_lap(
       "tred2_rank2", "m=" + std::to_string(em) + " x 4000",
       [&](const simd::KernelTable& t) {
@@ -372,7 +339,7 @@ int main() {
         a.insert(a.end(), e.begin(), e.end());
         return a;
       },
-      avx2, avx512, w.tred2_rank2 == v.tred2_rank2);
+      avx2);
   // w = 2u / |u|^2 makes each call a Householder reflection, so repeated
   // calls stay bounded.
   double unorm = 0.0;
@@ -388,7 +355,7 @@ int main() {
                           refl_w.data(), em);
         return a;
       },
-      avx2, avx512, w.tred2_reflect == v.tred2_reflect);
+      avx2);
 
   // ------------------------------------------------------- hybrid_row ----
   // Every 5th gamma row of one block's default 100 x 100 table, with the
@@ -430,27 +397,22 @@ int main() {
         }
         return table;
       },
-      avx2, avx512, w.hybrid_row == v.hybrid_row);
+      avx2);
 
   // Per-kernel auto-tier gates against this run's own timings.
   std::printf("\n");
   simd::configure("auto");
-  gate_auto("fill_bin_factors", fill, simd::KernelId::kFillBinFactors, avx2,
-            avx512);
-  gate_auto("dot_counts", dot, simd::KernelId::kDotCounts, avx2, avx512);
-  gate_auto("normal_cdf_batch", cdf, simd::KernelId::kNormalCdfBatch, avx2,
-            avx512);
-  gate_auto("matmul", gemm, simd::KernelId::kMatmul, avx2, avx512);
-  gate_auto("gram_aat", gram, simd::KernelId::kGramAat, avx2, avx512);
-  gate_auto("clenshaw_batch", clen, simd::KernelId::kClenshawBatch, avx2,
-            avx512);
-  gate_auto("tql2_rotate", rotate, simd::KernelId::kTql2Rotate, avx2,
-            avx512);
-  gate_auto("tred2_symv", symv, simd::KernelId::kTred2Symv, avx2, avx512);
-  gate_auto("tred2_rank2", rank2, simd::KernelId::kTred2Rank2, avx2, avx512);
-  gate_auto("tred2_reflect", reflect, simd::KernelId::kTred2Reflect, avx2,
-            avx512);
-  gate_auto("hybrid_row", hrow, simd::KernelId::kHybridRow, avx2, avx512);
+  gate_auto("fill_bin_factors", fill, simd::KernelId::kFillBinFactors, avx2);
+  gate_auto("dot_counts", dot, simd::KernelId::kDotCounts, avx2);
+  gate_auto("normal_cdf_batch", cdf, simd::KernelId::kNormalCdfBatch, avx2);
+  gate_auto("matmul", gemm, simd::KernelId::kMatmul, avx2);
+  gate_auto("gram_aat", gram, simd::KernelId::kGramAat, avx2);
+  gate_auto("clenshaw_batch", clen, simd::KernelId::kClenshawBatch, avx2);
+  gate_auto("tql2_rotate", rotate, simd::KernelId::kTql2Rotate, avx2);
+  gate_auto("tred2_symv", symv, simd::KernelId::kTred2Symv, avx2);
+  gate_auto("tred2_rank2", rank2, simd::KernelId::kTred2Rank2, avx2);
+  gate_auto("tred2_reflect", reflect, simd::KernelId::kTred2Reflect, avx2);
+  gate_auto("hybrid_row", hrow, simd::KernelId::kHybridRow, avx2);
 
   bool pass = true;
   for (const Lap* lap :
@@ -467,9 +429,7 @@ int main() {
     out << "  \"" << name << "\": {\n"
         << "    \"seconds_scalar\": " << lap.seconds_scalar << ",\n"
         << "    \"seconds_avx2\": " << lap.seconds_avx2 << ",\n"
-        << "    \"seconds_avx512\": " << lap.seconds_avx512 << ",\n"
         << "    \"speedup\": " << lap.speedup << ",\n"
-        << "    \"speedup_avx512\": " << lap.speedup_avx512 << ",\n"
         << "    \"auto_tier\": \"" << simd::to_string(lap.auto_tier)
         << "\",\n"
         << "    \"auto_margin\": " << lap.auto_margin << ",\n"
@@ -480,7 +440,6 @@ int main() {
   };
   out << "{\n"
       << "  \"avx2_available\": " << (avx2 ? "true" : "false") << ",\n"
-      << "  \"avx512_available\": " << (avx512 ? "true" : "false") << ",\n"
       << "  \"pass\": " << (pass ? "true" : "false") << ",\n";
   emit("fill_bin_factors", fill);
   emit("dot_counts", dot);

@@ -2,18 +2,17 @@
 //
 // Each entry is one of the straight-line inner loops that dominate
 // end-to-end runtime now that the algorithmic fast paths are in place
-// (see docs/PERFORMANCE.md, "SIMD kernels"). Three implementations exist:
+// (see docs/PERFORMANCE.md, "SIMD kernels"). Two implementations exist:
 // a scalar reference (`kernels_scalar.cpp`, compiled at the baseline ISA,
 // bit-identical to the loops it replaced except hybrid_row, which traded
-// libm's exp/expm1 for portable ones), an AVX2+FMA variant
-// (`kernels_avx2.cpp`, compiled per-file with -mavx2 -mfma), and an
-// AVX-512F/DQ variant (`kernels_avx512.cpp`, compiled per-file with
-// -mavx512f -mavx512dq). Dispatch between them is a process-wide runtime
-// decision — see dispatch.hpp.
+// libm's exp/expm1 for portable ones) and an AVX2+FMA variant
+// (`kernels_avx2.cpp`, compiled per-file with -mavx2 -mfma). Dispatch
+// between them (auto | avx2 | scalar) is a process-wide runtime decision —
+// see dispatch.hpp.
 //
 // Exactness contracts (what callers may rely on, per kernel):
 //   fill_bin_factors  scalar: bit-identical to the historical loop.
-//                     avx2/avx512: same exact-exp re-anchor every
+//                     avx2: same exact-exp re-anchor every
 //                     kReanchorInterval bins; between anchors the vector
 //                     recurrence steps by ratio^8 per chain, so values
 //                     drift from the scalar recurrence by a bounded ~1e-13
@@ -24,13 +23,8 @@
 //                     elements 4j+l in ascending j, product rounded before
 //                     the add — no FMA), the same scalar tail into lane 0,
 //                     and the same final combine (a0 + a2) + (a1 + a3).
-//                     The AVX-512 variant folds the high 256-bit half of
-//                     each 512-bit product into the same four lanes
-//                     low-half-first, preserving ascending-j order per
-//                     lane.
 //   normal_cdf_batch  scalar: bit-identical to stats::normal_cdf per
-//                     element. avx2/avx512: polynomial erfc (identical
-//                     coefficient sets and operation sequence), relative
+//                     element. avx2: polynomial erfc, relative
 //                     error <= ~1e-12 wherever |result| > 1e-300; exactly
 //                     0/1 outside |z| ~ 39.6 (the scalar path underflows
 //                     over the same region).
@@ -40,15 +34,14 @@
 //                     (out += a*b, not out = a*b) in ascending k with the
 //                     same round(product)-then-add sequence and the same
 //                     a == 0.0 skip; k-tiling and column vectorization
-//                     (4-wide or 8-wide) only reorder independent
+//                     (4-wide) only reorder independent
 //                     elements.
 //   gram_aat          bit-identical across ALL levels and to the
 //                     historical triangle loop (same ascending-index
 //                     single-chain dot per entry, mirrored).
 //   matvec            scalar: bit-identical to the historical loop (one
-//                     accumulator per row). avx2/avx512: four accumulator
-//                     lanes per row (avx512 folds its high half into the
-//                     same four lanes) — differs from scalar by normal
+//                     accumulator per row). avx2: four accumulator
+//                     lanes per row — differs from scalar by normal
 //                     dot-product rounding (~1e-15 relative); no caller
 //                     pins matvec bits.
 //   clenshaw_batch    bit-identical across ALL levels: every pencil runs
@@ -56,8 +49,8 @@
 //                     s = round((2u)*b1); q = round(s - b2);
 //                     b = round(c_k + q) for k = n-1 .. 1, then
 //                     out = c_0 + round(round(u*b1) - b2) — separate
-//                     mul/sub/add, never FMA. The vector variants map
-//                     SIMD lanes to independent pencils (4-wide / 8-wide)
+//                     mul/sub/add, never FMA. The AVX2 variant maps
+//                     SIMD lanes to independent pencils (4-wide)
 //                     and the scalar tail repeats the same sequence, so
 //                     lane width never changes any rounding. The
 //                     surrogate layer's certified envelopes rely on this.
@@ -73,8 +66,7 @@
 //                     4x4 transpose of the products, so each dot still
 //                     sums in ascending index from 0.0; tred2_symv's
 //                     e[j] += terms come in ascending row order, and its
-//                     4x4 diagonal corner runs in scalar order. The
-//                     AVX-512 table serves the AVX2 variants.
+//                     4x4 diagonal corner runs in scalar order.
 //   hybrid_row        bit-identical across ALL levels: one lane is one
 //                     table entry b_i = b_lo + i*d_b, summing its nodes
 //                     from 0.0 in ascending order, with the argument
@@ -88,8 +80,7 @@
 //                     tail lanes compute throwaway entries, so lane width
 //                     never changes a bit. Error budget: every entry within
 //                     8 ULP of the historical std::exp/std::expm1 loop
-//                     (tests/mech_test.cpp). The AVX-512 table serves the
-//                     AVX2 variant.
+//                     (tests/mech_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -178,27 +169,10 @@ const KernelTable& kernels();
 
 namespace detail {
 extern const KernelTable kScalarKernels;
-// The vector tables alias kScalarKernels when their translation unit is
-// built without the matching ISA, so taking either symbol is always safe;
-// dispatch never selects a level the CPU cannot run.
+// Aliases kScalarKernels when kernels_avx2.cpp is built without the ISA,
+// so taking the symbol is always safe; dispatch never selects a level the
+// CPU cannot run.
 extern const KernelTable kAvx2Kernels;
-extern const KernelTable kAvx512Kernels;
-
-// The AVX2 eigensolver and hybrid_row kernels, which the AVX-512 table
-// serves as well
-// (that tier has no variant of its own). Defined only in builds that
-// compile the AVX2 tier; the AVX-512 tier is only compiled alongside it.
-void tql2_rotate_avx2(double* x, double* y, double c, double s,
-                      std::size_t n);
-void tred2_symv_avx2(const double* a, std::size_t lda, const double* u,
-                     std::size_t m, double* e);
-void tred2_rank2_avx2(double* a, std::size_t lda, const double* u, double hh,
-                      std::size_t m, double* e);
-void tred2_reflect_avx2(double* a, std::size_t lda, std::size_t rows,
-                        const double* u, const double* w, std::size_t len);
-void hybrid_row_avx2(const double* u, const double* v, const double* w,
-                     std::size_t n_nodes, double gamma, double b_lo,
-                     double d_b, double area, std::size_t n_b, double* out);
 }  // namespace detail
 
 }  // namespace obd::simd

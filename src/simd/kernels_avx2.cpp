@@ -141,7 +141,7 @@ constexpr double kErfcPolyTail[] = {
 // 1/13!, 1/12!, ..., 1/1!, 1/0! — Taylor core of exp on |r| <= ln2/2.
 constexpr double kExpPoly[] = {
     1.6059043836821613e-10, 2.08767569878681e-9, 2.505210838544172e-8,
-    2.7557319223985893e-7,  2.755731922398589e-6, 2.48015873015873e-5,
+    0x1.27e4fb7789f5cp-22,  0x1.71de3a556c734p-19, 2.48015873015873e-5,
     1.984126984126984e-4,   1.3888888888888889e-3, 8.333333333333333e-3,
     4.1666666666666664e-2,  1.6666666666666666e-1, 5e-1, 1.0, 1.0,
 };
@@ -453,16 +453,13 @@ inline void sub_scaled(double* row, double g, const double* w,
   for (; k < len; ++k) row[k] -= g * w[k];
 }
 
-}  // namespace
-
-namespace detail {
-
 // Three vectors (12 entries) per node step: on one thread the EV6 fill
 // measured about 180 / 135-155 / 130-155 / 165-175 ms at 1 / 2 / 3 / 4.
 void hybrid_row_avx2(const double* u, const double* v, const double* w,
                      std::size_t n_nodes, double gamma, double b_lo,
                      double d_b, double area, std::size_t n_b, double* out) {
-  hybrid_row<Avx2Ops, 3>(u, v, w, n_nodes, gamma, b_lo, d_b, area, n_b, out);
+  detail::hybrid_row<Avx2Ops, 3>(u, v, w, n_nodes, gamma, b_lo, d_b, area, n_b,
+                                 out);
 }
 
 void tql2_rotate_avx2(double* x, double* y, double c, double s,
@@ -585,6 +582,10 @@ void tred2_reflect_avx2(double* a, std::size_t lda, std::size_t rows,
   }
 }
 
+}  // namespace
+
+namespace detail {
+
 const KernelTable kAvx2Kernels = {
     fill_bin_factors_avx2, dot_counts_avx2,  normal_cdf_batch_avx2,
     matmul_avx2,           matvec_avx2,      gram_aat_avx2,
@@ -601,8 +602,8 @@ const KernelTable kAvx2Kernels = {
 
 namespace obd::simd::detail {
 
-// Built without AVX2 support: keep the symbol defined (the test suite
-// references both tables unconditionally) but alias the scalar reference.
+// Built without AVX2 support: keep the symbol defined (tests and benches
+// reference it unconditionally) but alias the scalar reference.
 // kScalarKernels is constant-initialized (function addresses only), so
 // copying it during dynamic initialization is order-safe.
 const KernelTable kAvx2Kernels = kScalarKernels;

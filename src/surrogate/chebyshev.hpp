@@ -7,7 +7,7 @@
 // at the nodes). Evaluation contracts one axis at a time — slowest axis
 // first — through the SIMD kernel table's clenshaw_batch, whose
 // bit-identity contract (kernels.hpp) makes every evaluation identical
-// across scalar/AVX2/AVX-512 dispatch: the surrogate layer's certificate
+// across scalar/AVX2 dispatch: the surrogate layer's certificate
 // therefore holds at any tier.
 //
 // Coefficient layout: axis 0 fastest,

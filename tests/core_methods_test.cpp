@@ -516,5 +516,31 @@ TEST(MethodsErrors, RejectBadArguments) {
       lifetime_at_failure([](double) { return 0.5; }, 1.5), obd::Error);
 }
 
+TEST(McStdError, ShrinksWithSampleCountAndBoundsError) {
+  const chip::Design design = chip::make_synthetic_design(
+      "M", {.devices = 15000, .block_count = 4, .die_width = 4.0,
+            .die_height = 4.0, .seed = 61});
+  const core::AnalyticReliabilityModel model;
+  const std::vector<double> temps{90.0, 70.0, 80.0, 60.0};
+  core::ProblemOptions opts;
+  opts.grid_cells_per_side = 8;
+  const auto problem = core::ReliabilityProblem::build(
+      design, var::VariationBudget{}, model, temps, 1.2, opts);
+
+  const core::MonteCarloAnalyzer small(problem, {.chip_samples = 100});
+  const core::MonteCarloAnalyzer big(problem,
+                                     {.chip_samples = 900, .seed = 2});
+  const double t = 3e8;
+  // SE scales like 1/sqrt(n): 3x fewer per 9x more samples.
+  EXPECT_NEAR(small.failure_std_error(t) / big.failure_std_error(t), 3.0,
+              1.5);
+  // The two estimates agree within a few joint standard errors.
+  const double gap =
+      std::fabs(small.failure_probability(t) - big.failure_probability(t));
+  const double joint =
+      std::hypot(small.failure_std_error(t), big.failure_std_error(t));
+  EXPECT_LT(gap, 5.0 * joint);
+}
+
 }  // namespace
 }  // namespace obd::core

@@ -14,8 +14,6 @@
 #include "core/hybrid.hpp"
 #include "core/lifetime.hpp"
 #include "power/trace_io.hpp"
-#include "thermal/image.hpp"
-#include "thermal/solver.hpp"
 
 namespace obd {
 namespace {
@@ -66,29 +64,6 @@ TEST(FileRoundTrips, ConfigFile) {
   EXPECT_DOUBLE_EQ(cfg.get_double("vdd"), 1.15);
   EXPECT_THROW(Config::parse_file("/nonexistent/cfg"), Error);
   std::remove(path.c_str());
-}
-
-TEST(FileRoundTrips, ThermalImageFiles) {
-  const chip::Design d = chip::make_benchmark(1);
-  const auto power = power::estimate_power(d, {});
-  thermal::ThermalParams tp;
-  tp.resolution = 8;
-  const auto profile = thermal::solve_thermal(d, power, tp);
-  const std::string pgm = temp_path("map.pgm");
-  const std::string ppm = temp_path("map.ppm");
-  thermal::write_pgm_file(pgm, profile, 2);
-  thermal::write_ppm_file(ppm, profile, 2);
-  std::ifstream p1(pgm, std::ios::binary);
-  std::ifstream p2(ppm, std::ios::binary);
-  std::string magic1, magic2;
-  p1 >> magic1;
-  p2 >> magic2;
-  EXPECT_EQ(magic1, "P5");
-  EXPECT_EQ(magic2, "P6");
-  EXPECT_THROW(thermal::write_pgm_file("/nonexistent/dir/x.pgm", profile),
-               Error);
-  std::remove(pgm.c_str());
-  std::remove(ppm.c_str());
 }
 
 class QuadTreeProblemFixture : public ::testing::Test {

@@ -240,7 +240,6 @@ TEST_F(IncrementalFixture, RandomUpdateSequencesBitIdenticalToRebuild) {
   GlobalsGuard guard;
   std::vector<simd::Level> levels{simd::Level::kScalar};
   if (simd::can_use_avx2()) levels.push_back(simd::Level::kAvx2);
-  if (simd::can_use_avx512()) levels.push_back(simd::Level::kAvx512);
 
   for (const simd::Level level : levels) {
     simd::set_level(level);

@@ -46,17 +46,15 @@ struct DispatchGuard {
 // ------------------------------------------------------------------------
 // Dispatch configuration
 
-TEST(SimdDispatch, ConfigureAcceptsTheFourLevels) {
+TEST(SimdDispatch, ConfigureAcceptsTheThreeLevels) {
   DispatchGuard guard;
   simd::configure("scalar");
   EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
   // "auto" picks the widest tier the host/build can run.
   simd::configure("auto");
-  EXPECT_EQ(simd::active_level(),
-            simd::can_use_avx512()
-                ? simd::Level::kAvx512
-                : simd::can_use_avx2() ? simd::Level::kAvx2
-                                       : simd::Level::kScalar);
+  EXPECT_EQ(simd::active_level(), simd::can_use_avx2()
+                                      ? simd::Level::kAvx2
+                                      : simd::Level::kScalar);
   if (simd::can_use_avx2()) {
     simd::configure("avx2");
     EXPECT_EQ(simd::active_level(), simd::Level::kAvx2);
@@ -72,35 +70,30 @@ TEST(SimdDispatch, ConfigureAcceptsTheFourLevels) {
         },
         Error);
   }
-  if (simd::can_use_avx512()) {
-    simd::configure("avx512");
-    EXPECT_EQ(simd::active_level(), simd::Level::kAvx512);
-  } else {
-    EXPECT_THROW(
-        {
-          try {
-            simd::configure("avx512");
-          } catch (const Error& e) {
-            EXPECT_EQ(e.code(), ErrorCode::kConfig);
-            throw;
-          }
-        },
-        Error);
-  }
+}
+
+// A rejection names every spec configure() accepts.
+void expect_lists_accepted_levels(const std::string& message) {
+  for (const char* level : {"'auto'", "'avx2'", "'scalar'"})
+    EXPECT_NE(message.find(level), std::string::npos) << message;
 }
 
 TEST(SimdDispatch, ConfigureRejectsUnknownSpec) {
   DispatchGuard guard;
   const simd::Level before = simd::active_level();
-  try {
-    simd::configure("sse9");
-    FAIL() << "configure accepted a bogus level";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kConfig);
-    EXPECT_NE(std::string(e.what()).find("sse9"), std::string::npos);
+  // "avx512" is not a level: there is no AVX-512 tier.
+  for (const std::string spec : {"sse9", "avx512"}) {
+    try {
+      simd::configure(spec);
+      FAIL() << "configure accepted a bogus level: " << spec;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kConfig);
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos);
+      expect_lists_accepted_levels(e.what());
+    }
+    // A rejected spec must not change the active level.
+    EXPECT_EQ(simd::active_level(), before);
   }
-  // A rejected spec must not change the active level.
-  EXPECT_EQ(simd::active_level(), before);
 }
 
 TEST(SimdDispatch, EnvVariableParsesAndRejects) {
@@ -109,14 +102,18 @@ TEST(SimdDispatch, EnvVariableParsesAndRejects) {
   simd::init_from_env();
   EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
 
-  setenv("OBDREL_SIMD", "turbo", 1);
-  try {
-    simd::init_from_env();
-    FAIL() << "init_from_env accepted a bogus level";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kConfig);
-    // The error must name the environment variable, not just the value.
-    EXPECT_NE(std::string(e.what()).find("OBDREL_SIMD"), std::string::npos);
+  for (const char* bad : {"turbo", "avx512"}) {
+    setenv("OBDREL_SIMD", bad, 1);
+    try {
+      simd::init_from_env();
+      FAIL() << "init_from_env accepted a bogus level: " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kConfig);
+      // The error must name the environment variable, not just the value.
+      EXPECT_NE(std::string(e.what()).find("OBDREL_SIMD"),
+                std::string::npos);
+      expect_lists_accepted_levels(e.what());
+    }
   }
 
   // Unset: keeps an explicit earlier choice instead of resetting to auto.
@@ -127,30 +124,22 @@ TEST(SimdDispatch, EnvVariableParsesAndRejects) {
 }
 
 // ------------------------------------------------------------------------
-// Kernel table equality: scalar vs each vector tier. The same contract
-// suite runs against the AVX2 and the AVX-512 tables (parameterized);
-// unavailable tiers skip with the host capability in the message.
+// Kernel table equality: scalar vs the vector tier. The contract suite
+// runs against the AVX2 table; a host without AVX2 skips with the
+// capability in the message.
 
 class SimdKernelPair : public ::testing::TestWithParam<simd::Level> {
  protected:
   void SetUp() override {
-    if (GetParam() == simd::Level::kAvx512) {
-      if (!simd::can_use_avx512())
-        GTEST_SKIP() << "AVX-512F/DQ unavailable on this host/build";
-      v_ = simd::detail::kAvx512Kernels;
-    } else {
-      if (!simd::can_use_avx2())
-        GTEST_SKIP() << "AVX2+FMA unavailable on this host/build";
-      v_ = simd::detail::kAvx2Kernels;
-    }
+    if (!simd::can_use_avx2())
+      GTEST_SKIP() << "AVX2+FMA unavailable on this host/build";
   }
   const simd::KernelTable& s_ = simd::detail::kScalarKernels;
-  simd::KernelTable v_{};  ///< the vector table under test (copied pointers)
+  const simd::KernelTable& v_ = simd::detail::kAvx2Kernels;
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    VectorTiers, SimdKernelPair,
-    ::testing::Values(simd::Level::kAvx2, simd::Level::kAvx512),
+    VectorTiers, SimdKernelPair, ::testing::Values(simd::Level::kAvx2),
     [](const ::testing::TestParamInfo<simd::Level>& info) {
       return std::string(simd::to_string(info.param));
     });
@@ -664,68 +653,38 @@ TEST_P(SimdKernelPair, HybridRowBitIdenticalAcrossLevels) {
 }
 
 // ------------------------------------------------------------------------
-// Per-kernel tier composition under "auto" vs forced levels
+// Whole-table dispatch: every level serves one table
 
-TEST(SimdDispatch, AutoComposesPerKernelTiersButForcedLevelsAreWhole) {
+TEST(SimdDispatch, AutoServesTheWidestTableAndForcedLevelsTheirOwn) {
   DispatchGuard guard;
+  const auto expect_whole = [](simd::Level level,
+                               const simd::KernelTable& table) {
+    EXPECT_EQ(simd::active_level(), level);
+    for (int id = 0; id <= static_cast<int>(simd::KernelId::kHybridRow); ++id)
+      EXPECT_EQ(simd::kernel_level(static_cast<simd::KernelId>(id)), level)
+          << "kernel " << id;
+    // Spot-check the table kernels() serves, first to last member.
+    EXPECT_EQ(simd::kernels().fill_bin_factors, table.fill_bin_factors);
+    EXPECT_EQ(simd::kernels().dot_counts, table.dot_counts);
+    EXPECT_EQ(simd::kernels().matmul, table.matmul);
+    EXPECT_EQ(simd::kernels().tred2_reflect, table.tred2_reflect);
+    EXPECT_EQ(simd::kernels().hybrid_row, table.hybrid_row);
+  };
   simd::configure("auto");
-  const simd::Level widest = simd::active_level();
-  if (widest == simd::Level::kAvx512) {
-    // dot_counts is capped at AVX2 under auto: its AVX-512 fold is
-    // load-bound and measures slower (see kAutoCap in dispatch.cpp and
-    // the bench gate that keeps this ranking honest).
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kDotCounts),
-              simd::Level::kAvx2);
-    EXPECT_EQ(simd::kernels().dot_counts,
-              simd::detail::kAvx2Kernels.dot_counts);
-    // The eigensolver kernels have no AVX-512 variant: both tables hold
-    // the AVX2 one, and the cap reports it.
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kTred2Reflect),
-              simd::Level::kAvx2);
-    EXPECT_EQ(simd::kernels().tred2_reflect,
-              simd::detail::kAvx2Kernels.tred2_reflect);
-    EXPECT_EQ(simd::detail::kAvx512Kernels.tql2_rotate,
-              simd::detail::kAvx2Kernels.tql2_rotate);
-    // So has hybrid_row.
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kHybridRow),
-              simd::Level::kAvx2);
-    EXPECT_EQ(simd::kernels().hybrid_row,
-              simd::detail::kAvx2Kernels.hybrid_row);
-    EXPECT_EQ(simd::detail::kAvx512Kernels.hybrid_row,
-              simd::detail::kAvx2Kernels.hybrid_row);
-    // Every other kernel still runs the widest tier.
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kClenshawBatch),
-              simd::Level::kAvx512);
-    EXPECT_EQ(simd::kernels().clenshaw_batch,
-              simd::detail::kAvx512Kernels.clenshaw_batch);
-    EXPECT_EQ(simd::kernels().matmul, simd::detail::kAvx512Kernels.matmul);
-    EXPECT_EQ(simd::kernels().fill_bin_factors,
-              simd::detail::kAvx512Kernels.fill_bin_factors);
+  if (simd::can_use_avx2()) {
+    expect_whole(simd::Level::kAvx2, simd::detail::kAvx2Kernels);
+    simd::set_level(simd::Level::kAvx2);
+    expect_whole(simd::Level::kAvx2, simd::detail::kAvx2Kernels);
   } else {
-    // No tier exceeds its cap: composition is the identity.
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kDotCounts), widest);
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kClenshawBatch), widest);
-  }
-  // A forced level selects its whole uncomposed table, caps ignored —
-  // forced runs must exercise exactly one tier.
-  if (simd::can_use_avx512()) {
-    simd::set_level(simd::Level::kAvx512);
-    EXPECT_EQ(simd::kernel_level(simd::KernelId::kDotCounts),
-              simd::Level::kAvx512);
-    EXPECT_EQ(simd::kernels().dot_counts,
-              simd::detail::kAvx512Kernels.dot_counts);
+    expect_whole(simd::Level::kScalar, simd::detail::kScalarKernels);
   }
   simd::set_level(simd::Level::kScalar);
-  EXPECT_EQ(simd::kernel_level(simd::KernelId::kDotCounts),
-            simd::Level::kScalar);
-  EXPECT_EQ(simd::kernels().dot_counts,
-            simd::detail::kScalarKernels.dot_counts);
+  expect_whole(simd::Level::kScalar, simd::detail::kScalarKernels);
 }
 
-// The simd.level stat names every kernel "auto" runs below the widest
-// tier: dot_counts (capped), the eigensolver kernels and hybrid_row (no
-// AVX-512 variant). Forced levels name none.
-TEST(SimdDispatch, PublishedLevelNamesEveryKernelBelowTheWidestTier) {
+// The simd.level stat names the active tier and whether the host/build
+// can run AVX2.
+TEST(SimdDispatch, PublishedLevelNamesTheTierAndAvx2Support) {
   DispatchGuard guard;
   const auto published = [] {
     diagnostics().clear();
@@ -736,22 +695,12 @@ TEST(SimdDispatch, PublishedLevelNamesEveryKernelBelowTheWidestTier) {
                ? stats[0].message
                : std::string("<missing>");
   };
-  const std::string caps =
-      std::string(simd::can_use_avx512() ? " (avx512f+dq available"
-                                         : " (avx512f+dq unavailable") +
-      (simd::can_use_avx2() ? ", avx2+fma available)"
-                            : ", avx2+fma unavailable)");
+  const std::string caps = simd::can_use_avx2()
+                               ? " (avx2+fma available)"
+                               : " (avx2+fma unavailable)";
   simd::configure("auto");
-  const simd::Level widest = simd::active_level();
-  if (widest == simd::Level::kAvx512)
-    EXPECT_EQ(published(),
-              "dispatch avx512, dot_counts=avx2, tql2_rotate=avx2, "
-              "tred2_symv=avx2, tred2_rank2=avx2, tred2_reflect=avx2, "
-              "hybrid_row=avx2" +
-                  caps);
-  else
-    EXPECT_EQ(published(),
-              std::string("dispatch ") + simd::to_string(widest) + caps);
+  EXPECT_EQ(published(), std::string("dispatch ") +
+                             simd::to_string(simd::active_level()) + caps);
   simd::set_level(simd::Level::kScalar);
   EXPECT_EQ(published(), "dispatch scalar" + caps);
 }
@@ -880,15 +829,6 @@ TEST(SimdEndToEnd, BinnedMonteCarloAgreesAcrossDispatchLevels) {
   // covers the astronomically rare draw flip without ever hiding a real
   // kernel bug.
   EXPECT_LE(std::abs(f_avx2 - f_scalar), std::max(6.0 * se, 1e-9));
-
-  if (simd::can_use_avx512()) {
-    simd::set_level(simd::Level::kAvx512);
-    const core::MonteCarloAnalyzer mc_avx512(
-        problem,
-        {.chip_samples = 40, .sampling = core::DeviceSampling::kBinned});
-    const double f_avx512 = mc_avx512.failure_probability(t);
-    EXPECT_LE(std::abs(f_avx512 - f_scalar), std::max(6.0 * se, 1e-9));
-  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // The certificate's value rests on two properties checked here: the
 // certification probes are deterministic (re-running certify() reproduces
 // the stored certificate bit for bit), and evaluation is bit-identical
-// across scalar/AVX2/AVX-512 dispatch (the clenshaw_batch contract), so a
+// across scalar/AVX2 dispatch (the clenshaw_batch contract), so a
 // certificate earned at one tier holds at all of them.
 #include <gtest/gtest.h>
 
@@ -259,7 +259,6 @@ TEST_F(SurrogateFixture, EnvelopePropertyAcrossTiersAndThreads) {
 
   std::vector<simd::Level> levels = {simd::Level::kScalar};
   if (simd::can_use_avx2()) levels.push_back(simd::Level::kAvx2);
-  if (simd::can_use_avx512()) levels.push_back(simd::Level::kAvx512);
 
   std::vector<double> baseline;
   for (simd::Level level : levels) {

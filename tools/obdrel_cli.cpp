@@ -45,7 +45,7 @@
 //   targets       failure-quantile list                  (default 1e-6 1e-5)
 //   strict        bool: same as --strict                 (default false)
 //   threads       shared-pool worker threads             (default auto)
-//   simd          auto | avx512 | avx2 | scalar          (default auto)
+//   simd          auto | avx2 | scalar                   (default auto)
 //                 SIMD dispatch level (overrides the OBDREL_SIMD
 //                 environment variable)
 //   thermal_sweep lexicographic | redblack SOR order     (default lexicographic)
@@ -800,8 +800,8 @@ int usage(std::FILE* out, int rc) {
                "--strict escalates degraded results to errors.\n"
                "--threads <n> sizes the shared analysis pool (0 = auto);\n"
                "it overrides OBDREL_THREADS and the `threads` config key.\n"
-               "The `simd` config key (auto|avx512|avx2|scalar, default\n"
-               "auto) selects the SIMD kernel dispatch level; it overrides\n"
+               "The `simd` config key (auto|avx2|scalar, default auto)\n"
+               "selects the SIMD kernel dispatch level; it overrides\n"
                "the OBDREL_SIMD environment variable. The `thermal_sweep`\n"
                "key (lexicographic|redblack) picks the SOR cell-visit\n"
                "order.\n"
