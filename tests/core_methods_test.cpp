@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "core/hybrid.hpp"
 #include "core/lifetime.hpp"
 #include "core/montecarlo.hpp"
+#include "core/pipeline.hpp"
 #include "mech/spec.hpp"
 
 namespace obd::core {
@@ -203,6 +205,46 @@ TEST_F(MethodsFixture, StMcGoldenNodeDigests) {
     const StMcAnalyzer st_mc(*problem_, c.options);
     EXPECT_EQ(node_digest(st_mc.nodes()), c.digest)
         << c.name << std::hex << " got 0x" << node_digest(st_mc.nodes());
+  }
+}
+
+// st_MC's block-local PCA on the EV6 chip at default options: F(t) over a
+// fixed sweep and both lifetime targets, digested bit for bit. At grids 25
+// and 32 the L2 block spans more than 32 grid cells (n = 325 and 512), so
+// its block-local eigensolve is a large dense one; the digests pin the
+// samples that eigenbasis produces.
+TEST(StMcGolden, Ev6FailureDigestsAtGrid25And32) {
+  const struct {
+    const char* grid;
+    std::uint64_t digest;
+  } cases[] = {{"25", 0x591405a493b62843ull}, {"32", 0x3ab85b7fcfe57144ull}};
+  for (const auto& c : cases) {
+    Config cfg;
+    cfg.set("design", "ev6");
+    cfg.set("grid", c.grid);
+    const Pipeline p = run_pipeline(cfg);
+    const ReliabilityProblem problem = build_problem(cfg, p);
+    std::size_t largest_block = 0;
+    for (const auto& w : problem.layout().weights)
+      largest_block = std::max(largest_block, w.size());
+    ASSERT_GT(largest_block, 32u) << "grid " << c.grid;
+
+    const StMcAnalyzer st_mc(problem);
+    std::uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](double x) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &x, sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    };
+    constexpr double kYear = 365.25 * 24.0 * 3600.0;
+    for (int i = 0; i < 24; ++i)
+      mix(st_mc.failure_probability(0.5 * kYear * std::pow(100.0, i / 23.0)));
+    mix(st_mc.lifetime_at(kOneFaultPerMillion));
+    mix(st_mc.lifetime_at(kTenFaultsPerMillion));
+    EXPECT_EQ(h, c.digest) << "grid " << c.grid << std::hex << " got 0x" << h;
   }
 }
 
