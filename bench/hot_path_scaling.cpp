@@ -11,9 +11,7 @@
 //      sweep is bit-identical to the new per-point scalar path.
 //   3. Covariance + PCA: per-pair kernel evaluation vs the
 //      displacement-table build_covariance (gate: bit-identical), and the
-//      full QL eigendecomposition vs the truncated subspace-iteration
-//      solver (gate: kept eigenvalues match to 1e-8 and the truncated
-//      eigenvectors satisfy ||A v - lambda v|| <= 1e-8 * lambda_max).
+//      time of the dense QL eigendecomposition (not gated).
 //
 // All sections run serially (par pool forced to one thread) so the
 // reported speedups are algorithmic, not threading. Results are written to
@@ -214,55 +212,22 @@ int main() {
   }
   const bool cov_bitwise = pairwise_sum.value == table_sum.value;
 
-  // Eigensolver comparison on the Matern-3/2 covariance: its spectrum
-  // decays fast, so 0.999 capture keeps few components — the regime the
-  // truncated solver is built for. (The exponential kernel's slowly
-  // decaying spectrum keeps most components at 0.999, where the solver
-  // falls back to the dense path by design.)
+  // Dense eigensolve of the Matern-3/2 covariance (the input this lap has
+  // always timed, so seconds_eigen_full stays comparable across runs).
   const la::Matrix cov_smooth = var::build_covariance(
       grid, budget, rho_dist, var::CorrelationKernel::kMatern32);
   sw.reset();
-  const auto full = la::eigen_symmetric(cov_smooth);
+  (void)la::eigen_symmetric(cov_smooth);
   const double t_eigen_full = sw.seconds();
-  sw.reset();
-  const auto trunc = la::eigen_symmetric_truncated(cov_smooth, 0.999);
-  const double t_eigen_trunc = sw.seconds();
-  const double eigen_speedup = t_eigen_full / t_eigen_trunc;
-
-  const std::size_t kept = trunc.values.size();
-  const double lambda_max = std::max(std::abs(full.values.front()), 1e-300);
-  double max_value_delta = 0.0;
-  double max_residual = 0.0;
-  for (std::size_t k = 0; k < kept; ++k) {
-    max_value_delta =
-        std::max(max_value_delta, std::abs(trunc.values[k] - full.values[k]));
-    // ||A v - lambda v||_2 for the truncated eigenvector.
-    double res2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double av = 0.0;
-      for (std::size_t j = 0; j < n; ++j)
-        av += cov_smooth(i, j) * trunc.vectors(j, k);
-      const double r = av - trunc.values[k] * trunc.vectors(i, k);
-      res2 += r * r;
-    }
-    max_residual = std::max(max_residual, std::sqrt(res2));
-  }
-  const bool eigen_matches = kept >= 1 &&
-                             max_value_delta <= 1e-8 * lambda_max &&
-                             max_residual <= 1e-8 * lambda_max;
 
   std::printf("[3] covariance %zux%zu: pairwise %.3f s, table %.3f s "
-              "(%.1fx), %s; eigen: full %.3f s, truncated %.3f s (%.1fx), "
-              "%zu kept, value delta %.2e, residual %.2e (%s)\n",
+              "(%.1fx), %s; dense eigen %.3f s\n",
               n, n, t_cov_pairwise, t_cov_table, cov_speedup,
-              cov_bitwise ? "IDENTICAL" : "DIFFER", t_eigen_full,
-              t_eigen_trunc, eigen_speedup, kept, max_value_delta,
-              max_residual, eigen_matches ? "ok" : "MISMATCH");
+              cov_bitwise ? "IDENTICAL" : "DIFFER", t_eigen_full);
 
   par::set_threads(0);  // restore automatic width
 
-  const bool pass =
-      sampling_equivalent && sweep_bitwise && cov_bitwise && eigen_matches;
+  const bool pass = sampling_equivalent && sweep_bitwise && cov_bitwise;
   std::printf("\nexactness gates %s\n", pass ? "PASS" : "FAIL");
 
   std::string dir = csv_output_dir();
@@ -302,14 +267,8 @@ int main() {
       << "    \"covariance_bitwise_identical\": "
       << (cov_bitwise ? "true" : "false") << ",\n"
       << "    \"seconds_eigen_full\": " << t_eigen_full << ",\n"
-      << "    \"seconds_eigen_truncated\": " << t_eigen_trunc << ",\n"
-      << "    \"eigen_speedup\": " << eigen_speedup << ",\n"
-      << "    \"kept_components\": " << kept << ",\n"
-      << "    \"max_eigenvalue_delta\": " << max_value_delta << ",\n"
-      << "    \"max_residual\": " << max_residual << ",\n"
-      << "    \"pass\": " << ((cov_bitwise && eigen_matches) ? "true"
-                                                             : "false")
-      << "\n  },\n"
+      << "    \"pass\": " << (cov_bitwise ? "true" : "false") << "\n"
+      << "  },\n"
       << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::printf("(wrote %s)\n", path.c_str());
   return pass ? 0 : 1;

@@ -149,12 +149,11 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
       for (std::size_t k = 0; k < pc; ++k)
         lambda(a, k) = canonical.sensitivity(weights[a].first, k);
     const la::Matrix cov = la::gram_aat(lambda);
-    // Truncated eigensolve: only the components capturing 99.99% of the
-    // block-local variance are converged (small blocks fall through to the
-    // dense decomposition inside, so results there match the full solve).
-    const auto eig = la::eigen_symmetric_truncated(cov, 0.9999);
-    const std::size_t keep = eig.values.size();  // solver returns >= 1
-    // Local factor L(a, k) = V(a, k) sqrt(lambda_k).
+    // Keep the components capturing 99.99% of the block-local variance
+    // (at least one). Local factor L(a, k) = V(a, k) sqrt(lambda_k).
+    const auto eig = la::eigen_symmetric(cov);
+    const std::size_t keep = std::max<std::size_t>(
+        1, la::leading_component_count(eig.values, 0.9999));
     const la::Matrix local = la::principal_factor(eig, keep);
 
     const double m = static_cast<double>(blocks[j].blod.device_count());

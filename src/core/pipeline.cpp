@@ -31,14 +31,6 @@ std::string fmt17(double v) {
   return buf;
 }
 
-var::EigenSolver parse_eigen_solver(const Config& cfg) {
-  const std::string v = cfg.get_string("eigen_solver", "dense");
-  if (v == "dense") return var::EigenSolver::kDense;
-  if (v == "truncated") return var::EigenSolver::kTruncated;
-  throw Error("eigen_solver must be 'dense' or 'truncated', got '" + v + "'",
-              ErrorCode::kConfig);
-}
-
 }  // namespace
 
 thermal::SweepOrder parse_thermal_sweep(const Config& cfg) {
@@ -72,7 +64,6 @@ ReliabilityProblem build_problem(const Config& cfg, const Pipeline& p) {
   opts.variance_capture = cfg.get_double("variance_capture", 0.999);
   require(opts.variance_capture > 0.0 && opts.variance_capture <= 1.0,
           ErrorCode::kConfig, "variance_capture must be in (0, 1]");
-  opts.eigen_solver = parse_eigen_solver(cfg);
   opts.mechanisms = mech::parse_spec(cfg);
   return ReliabilityProblem::build(p.design, var::VariationBudget{}, p.model,
                                    p.profile.block_temps_c, p.vdd, opts);
@@ -95,7 +86,9 @@ std::string problem_key(const Config& cfg) {
      << ";ambient_c=" << fmt17(cfg.get_double("ambient_c", 45.0))
      << ";variance_capture="
      << fmt17(cfg.get_double("variance_capture", 0.999))
-     << ";eigen_solver=" << cfg.get_string("eigen_solver", "dense")
+     // Fixed text: the dense eigensolver is the only one, and these bytes
+     // name existing cache files and fleet journals.
+     << ";eigen_solver=dense"
      << ";thermal_sweep=" << cfg.get_string("thermal_sweep", "lexicographic");
   return os.str();
 }
@@ -108,7 +101,7 @@ std::string variation_key(const Config& cfg) {
      << ";grid=" << cfg.get_count("grid", 25)
      << ";variance_capture="
      << fmt17(cfg.get_double("variance_capture", 0.999))
-     << ";eigen_solver=" << cfg.get_string("eigen_solver", "dense");
+     << ";eigen_solver=dense";  // fixed text, as in problem_key
   return os.str();
 }
 

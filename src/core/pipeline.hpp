@@ -11,8 +11,8 @@
 // Config keys read here (defaults in parentheses): design (c1),
 // device_density (3000, .flp designs only), vdd (1.2), ambient_c (45),
 // thermal_sweep (lexicographic), rho_dist (0.5), grid (25),
-// variance_capture (0.999), eigen_solver (dense), and the mechanism spec
-// keys read by mech::parse_spec.
+// variance_capture (0.999), and the mechanism spec keys read by
+// mech::parse_spec.
 //
 // Two keys name what the chain builds. problem_key covers every key
 // above but the mechanism spec; it identifies a whole problem and names
@@ -48,7 +48,7 @@ struct Pipeline {
 
 /// Builds the reliability problem (covariance, PCA, per-block parameters)
 /// on `p`'s design and block temperatures. Throws Error(kConfig) on a bad
-/// grid, variance_capture, eigen_solver or mechanism spec.
+/// grid, variance_capture or mechanism spec.
 [[nodiscard]] ReliabilityProblem build_problem(const Config& cfg,
                                                const Pipeline& p);
 
@@ -70,19 +70,22 @@ struct Pipeline {
 /// Canonical text of the keys above (without the mechanism spec), with
 /// exact `%.17g` doubles:
 /// `design=…;device_density=…;vdd=…;rho_dist=…;grid=…;ambient_c=…;`
-/// `variance_capture=…;eigen_solver=…;thermal_sweep=…`. The serve and
+/// `variance_capture=…;eigen_solver=dense;thermal_sweep=…`. The serve and
 /// fleet problem keys extend it; their hashes name durable state, so
-/// these bytes must not change.
+/// these bytes must not change. `eigen_solver=dense` is fixed text from
+/// when the key selected between two eigensolvers; it is kept so that
+/// existing names stay valid.
 [[nodiscard]] std::string problem_key(const Config& cfg);
 
 /// Canonical text of the variation-stage keys only, in the same rendering:
 /// `design=…;device_density=…;rho_dist=…;grid=…;variance_capture=…;`
-/// `eigen_solver=…`. Two configs with equal variation keys build the same
-/// grid, canonical form, layout and BLOD moments, so one problem's
-/// variation stage (and the hybrid tables on it, which depend only on the
-/// BLOD moments and block areas) serves both. vdd, ambient_c,
-/// thermal_sweep, mechanisms and redundancy feed only the thermal stage,
-/// alpha_j/b_j and the mechanism stack, and are left out.
+/// `eigen_solver=dense` (fixed text, as in problem_key). Two configs with
+/// equal variation keys build the same grid, canonical form, layout and
+/// BLOD moments, so one problem's variation stage (and the hybrid tables
+/// on it, which depend only on the BLOD moments and block areas) serves
+/// both. vdd, ambient_c, thermal_sweep, mechanisms and redundancy feed
+/// only the thermal stage, alpha_j/b_j and the mechanism stack, and are
+/// left out.
 [[nodiscard]] std::string variation_key(const Config& cfg);
 
 }  // namespace obd::core

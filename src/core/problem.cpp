@@ -31,7 +31,7 @@ ReliabilityProblem ReliabilityProblem::build(
       p.canonical_ = std::make_shared<const var::CanonicalForm>(
           var::make_canonical_form(*p.grid_, budget, options.rho_dist,
                                    options.variance_capture, options.pattern,
-                                   options.kernel, options.eigen_solver));
+                                   options.kernel));
       break;
     case CorrelationStructure::kQuadTree:
       p.canonical_ = std::make_shared<const var::CanonicalForm>(

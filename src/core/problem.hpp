@@ -60,10 +60,6 @@ struct ProblemOptions {
   /// Correlation function family for the grid structure (ref [38] offers
   /// several valid choices; the paper's Section V uses the exponential).
   var::CorrelationKernel kernel = var::CorrelationKernel::kExponential;
-  /// PCA eigensolver: dense reference decomposition (default) or the
-  /// truncated subspace iteration that converges only the kept leading
-  /// components (worthwhile for large grids with variance_capture < 1).
-  var::EigenSolver eigen_solver = var::EigenSolver::kDense;
   /// Failure mechanisms and unit-level redundancy. The default (oxide
   /// only, no spare groups) reproduces the seed behavior bit-for-bit.
   mech::MechanismSpec mechanisms{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <numeric>
 
 #include "common/fault_injection.hpp"
@@ -194,24 +193,18 @@ EigenDecomposition eigen_symmetric(const Matrix& a) {
 }
 
 std::size_t leading_component_count(const Vector& values_descending,
-                                    double variance_share,
-                                    double total_variance) {
+                                    double variance_share) {
+  double total = 0.0;
+  for (double v : values_descending) total += std::max(0.0, v);
   std::size_t keep = 0;
   double captured = 0.0;
   while (keep < values_descending.size() &&
-         captured < variance_share * total_variance &&
+         captured < variance_share * total &&
          values_descending[keep] > 0.0) {
     captured += values_descending[keep];
     ++keep;
   }
   return keep;
-}
-
-std::size_t leading_component_count(const Vector& values_descending,
-                                    double variance_share) {
-  double total = 0.0;
-  for (double v : values_descending) total += std::max(0.0, v);
-  return leading_component_count(values_descending, variance_share, total);
 }
 
 Matrix principal_factor(const EigenDecomposition& eig, std::size_t keep) {
@@ -224,181 +217,6 @@ Matrix principal_factor(const EigenDecomposition& eig, std::size_t keep) {
     for (std::size_t i = 0; i < n; ++i) factor(i, k) = eig.vectors(i, k) * s;
   }
   return factor;
-}
-
-namespace {
-
-// Deterministic local generator for subspace seeding (splitmix64). linalg
-// must not depend on stats, and the iteration only needs directions that
-// are generic w.r.t. the eigenbasis, not statistical quality.
-std::uint64_t splitmix64_next(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-double seed_coordinate(std::uint64_t& state) {
-  return static_cast<double>(splitmix64_next(state) >> 11) * 0x1.0p-53 - 0.5;
-}
-
-// Modified Gram-Schmidt orthonormalization of the columns of x. Columns
-// that collapse numerically (the seed happened to lie in the span of the
-// previous ones) are re-seeded from the deterministic stream and retried.
-void orthonormalize_columns(Matrix& x, std::uint64_t& state) {
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-  for (std::size_t c = 0; c < p; ++c) {
-    for (int attempt = 0;; ++attempt) {
-      for (std::size_t prev = 0; prev < c; ++prev) {
-        double proj = 0.0;
-        for (std::size_t r = 0; r < n; ++r) proj += x(r, prev) * x(r, c);
-        for (std::size_t r = 0; r < n; ++r) x(r, c) -= proj * x(r, prev);
-      }
-      double nrm = 0.0;
-      for (std::size_t r = 0; r < n; ++r) nrm += x(r, c) * x(r, c);
-      nrm = std::sqrt(nrm);
-      if (nrm > 1e-12) {
-        const double inv = 1.0 / nrm;
-        for (std::size_t r = 0; r < n; ++r) x(r, c) *= inv;
-        break;
-      }
-      require(attempt < 8, ErrorCode::kNonconvergence,
-              "eigen_symmetric_truncated: cannot orthonormalize subspace");
-      for (std::size_t r = 0; r < n; ++r) x(r, c) = seed_coordinate(state);
-    }
-  }
-}
-
-// Dense reference decomposition truncated by the shared capture rule.
-EigenDecomposition dense_truncated(const Matrix& a, double variance_capture) {
-  EigenDecomposition full = eigen_symmetric(a);
-  const std::size_t keep = std::max<std::size_t>(
-      1, leading_component_count(full.values, variance_capture));
-  EigenDecomposition out;
-  out.values.assign(full.values.begin(),
-                    full.values.begin() + static_cast<std::ptrdiff_t>(keep));
-  out.vectors = Matrix(full.vectors.rows(), keep);
-  for (std::size_t k = 0; k < keep; ++k)
-    for (std::size_t r = 0; r < full.vectors.rows(); ++r)
-      out.vectors(r, k) = full.vectors(r, k);
-  return out;
-}
-
-}  // namespace
-
-EigenDecomposition eigen_symmetric_truncated(
-    const Matrix& a, double variance_capture,
-    const TruncatedEigenOptions& options) {
-  require(a.rows() == a.cols(),
-          "eigen_symmetric_truncated: matrix must be square");
-  require(!a.empty(), "eigen_symmetric_truncated: matrix must be non-empty");
-  require(variance_capture > 0.0 && variance_capture <= 1.0,
-          "eigen_symmetric_truncated: variance_capture must be in (0, 1]");
-  const std::size_t n = a.rows();
-
-  // Total variance = trace(A) with negative diagonal clipped; for the PSD
-  // covariance inputs this solver targets, the clipped trace equals the
-  // clipped eigenvalue sum the dense path uses.
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) total += std::max(0.0, a(i, i));
-
-  // Small problems: the dense path is already cheap and unconditionally
-  // robust. Same for a requested capture so close to 1 that the subspace
-  // would have to span most of the spectrum anyway.
-  if (n <= 2 * std::max<std::size_t>(options.initial_block, 8))
-    return dense_truncated(a, variance_capture);
-
-  std::uint64_t state = 0x0bdc0ffee1234567ull ^ (0x9E3779B97F4A7C15ull * n);
-  std::size_t p =
-      std::clamp<std::size_t>(options.initial_block, options.guard + 2, n);
-
-  Matrix x(n, p);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < p; ++c) x(r, c) = seed_coordinate(state);
-  orthonormalize_columns(x, state);
-
-  Vector prev_ritz;
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    // Power step + Rayleigh-Ritz: Z = A X, H = X^T Z, rotate into the Ritz
-    // basis, re-orthonormalize.
-    const Matrix z = a.matmul(x);
-    Matrix h(p, p);
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i; j < p; ++j) {
-        double s = 0.0;
-        for (std::size_t r = 0; r < n; ++r) s += x(r, i) * z(r, j);
-        h(i, j) = s;
-        h(j, i) = s;
-      }
-    }
-    EigenDecomposition ritz;
-    try {
-      ritz = eigen_symmetric(h);
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kNonconvergence) throw;
-      return dense_truncated(a, variance_capture);
-    }
-    x = z.matmul(ritz.vectors);
-    orthonormalize_columns(x, state);
-
-    const std::size_t keep =
-        leading_component_count(ritz.values, variance_capture, total);
-
-    // The subspace must cover the kept set plus a guard band of extra
-    // columns (the trailing Ritz pairs are the least converged). Grow
-    // geometrically; once the block approaches the full dimension the
-    // dense path is cheaper and exact.
-    if (keep == 0 || keep + options.guard > p) {
-      const std::size_t want =
-          std::max(keep + options.guard + 1, 2 * p);
-      if (want >= n / 2 + 1) return dense_truncated(a, variance_capture);
-      Matrix grown(n, want);
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < p; ++c) grown(r, c) = x(r, c);
-        for (std::size_t c = p; c < want; ++c)
-          grown(r, c) = seed_coordinate(state);
-      }
-      x = std::move(grown);
-      orthonormalize_columns(x, state);
-      p = want;
-      prev_ritz.clear();
-      continue;
-    }
-
-    // Converged when the kept Ritz values have stabilized...
-    const double scale = std::max(std::fabs(ritz.values[0]), 1e-300);
-    bool stable = prev_ritz.size() >= keep;
-    for (std::size_t k = 0; stable && k < keep; ++k)
-      stable = std::fabs(ritz.values[k] - prev_ritz[k]) <=
-               options.tolerance * scale;
-    prev_ritz = ritz.values;
-    if (!stable) continue;
-
-    // ...and the residuals ||A v - lambda v|| confirm genuine eigenpairs
-    // (stabilization alone can be fooled by slow geometric convergence).
-    const Matrix ax = a.matmul(x);
-    bool accurate = true;
-    for (std::size_t k = 0; accurate && k < keep; ++k) {
-      double r2 = 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        const double res = ax(r, k) - ritz.values[k] * x(r, k);
-        r2 += res * res;
-      }
-      accurate = std::sqrt(r2) <= options.residual_tolerance * scale;
-    }
-    if (!accurate) continue;
-
-    EigenDecomposition out;
-    out.values.assign(ritz.values.begin(),
-                      ritz.values.begin() + static_cast<std::ptrdiff_t>(keep));
-    out.vectors = Matrix(n, keep);
-    for (std::size_t k = 0; k < keep; ++k)
-      for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = x(r, k);
-    return out;
-  }
-  // Ran out of sweeps (clustered spectrum): the dense path settles it.
-  return dense_truncated(a, variance_capture);
 }
 
 }  // namespace obd::la

@@ -7,13 +7,9 @@
 // robust. The loops walk contiguous rows of the row-major matrix (the
 // reduction keeps Q^T, so QL rotates rows), yet every element goes through
 // the floating-point operations of EISPACK tred2/tql2 in their order: the
-// result is bit-identical to the textbook column-order port.
-//
-// When `variance_capture < 1` only the leading principal components are
-// consumed, so eigen_symmetric_truncated offers a blocked subspace-iteration
-// path that converges just those components in O(n^2 p) per sweep — the
-// dense decomposition remains the reference (and the fallback whenever the
-// iteration struggles).
+// result is bit-identical to the textbook column-order port. It is the
+// only eigensolver: the PCA canonical form and st_MC's block-local PCA
+// both decompose the full matrix and truncate by leading_component_count.
 #pragma once
 
 #include <cstddef>
@@ -36,19 +32,13 @@ struct EigenDecomposition {
 /// the QL iteration fails to converge (pathological input).
 EigenDecomposition eigen_symmetric(const Matrix& a);
 
-/// Number of leading components whose (roundoff-clipped) eigenvalues reach
-/// `variance_share` of `total_variance`: counts while the running sum is
-/// below the target and the next eigenvalue is positive. This is the single
-/// truncation rule shared by the PCA canonical form, the st_MC block-local
-/// factorizations, and the truncated eigensolver. May return 0 (for a
-/// spectrum with no positive mass) — callers decide whether that is an
-/// error or clamps to 1.
-std::size_t leading_component_count(const Vector& values_descending,
-                                    double variance_share,
-                                    double total_variance);
-
-/// Overload computing the total as the clipped sum of `values_descending`
-/// itself (correct when the vector holds the full spectrum).
+/// Number of leading components whose eigenvalues reach `variance_share`
+/// of the spectrum's total, the sum of `values_descending` with roundoff
+/// negatives clipped to 0: counts while the running sum is below the
+/// target and the next eigenvalue is positive. This is the single
+/// truncation rule shared by the PCA canonical form and the st_MC
+/// block-local factorizations. May return 0 (for a spectrum with no
+/// positive mass) — callers decide whether that is an error or clamps to 1.
 std::size_t leading_component_count(const Vector& values_descending,
                                     double variance_share);
 
@@ -56,28 +46,5 @@ std::size_t leading_component_count(const Vector& values_descending,
 /// vectors(:, k) * sqrt(max(0, values[k])), so factor * factor^T
 /// reconstructs the rank-`keep` approximation of the decomposed matrix.
 Matrix principal_factor(const EigenDecomposition& eig, std::size_t keep);
-
-/// Knobs of the truncated eigensolver. Defaults suit covariance matrices
-/// with decaying spectra (the only intended input class).
-struct TruncatedEigenOptions {
-  std::size_t initial_block = 16;    ///< starting subspace width
-  std::size_t guard = 4;             ///< oversampling columns beyond the kept set
-  std::size_t max_iterations = 500;  ///< sweeps before falling back to dense
-  double tolerance = 1e-12;          ///< relative Ritz-value stabilization
-  double residual_tolerance = 1e-9;  ///< relative ||A v - lambda v|| acceptance
-};
-
-/// Leading principal components of a symmetric positive-semidefinite
-/// matrix: returns exactly the eigenpairs that capture `variance_capture`
-/// of trace(A) (per leading_component_count), converged by blocked subspace
-/// iteration with Rayleigh-Ritz extraction. The subspace grows
-/// geometrically until it covers the requested capture plus a guard band;
-/// small problems, near-full captures, and non-converging iterations fall
-/// back to the dense QL path (truncated to the same rule), so the result is
-/// always usable. Eigenvector signs are arbitrary, as with any
-/// eigendecomposition.
-EigenDecomposition eigen_symmetric_truncated(
-    const Matrix& a, double variance_capture,
-    const TruncatedEigenOptions& options = {});
 
 }  // namespace obd::la

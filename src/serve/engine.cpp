@@ -21,10 +21,10 @@ namespace {
 /// outside the list (threads, faults, ...) are daemon policy and rejected.
 const std::set<std::string>& override_whitelist() {
   static const std::set<std::string> keys = {
-      "design",         "device_density", "vdd",
-      "rho_dist",       "grid",           "ambient_c",
-      "variance_capture", "eigen_solver", "thermal_sweep",
-      "mechanisms",     "redundancy",
+      "design",           "device_density", "vdd",
+      "rho_dist",         "grid",           "ambient_c",
+      "variance_capture", "thermal_sweep",  "mechanisms",
+      "redundancy",
   };
   return keys;
 }

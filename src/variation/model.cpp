@@ -184,8 +184,7 @@ CanonicalForm make_canonical_form(const GridModel& grid,
                                   const VariationBudget& budget,
                                   double rho_dist, double variance_capture,
                                   const WaferPattern& pattern,
-                                  CorrelationKernel kernel,
-                                  EigenSolver solver) {
+                                  CorrelationKernel kernel) {
   require(variance_capture > 0.0 && variance_capture <= 1.0,
           "make_canonical_form: variance_capture must be in (0, 1]");
   la::Matrix cov = build_covariance(grid, budget, rho_dist, kernel);
@@ -194,15 +193,12 @@ CanonicalForm make_canonical_form(const GridModel& grid,
   // with an escalating diagonal ridge (which shifts the spectrum away from
   // the degenerate cluster) before giving up; each retry only perturbs the
   // per-cell variance by a relative ~1e-10..1e-4, far below the model's
-  // own accuracy. (The truncated solver falls back to the dense path
-  // internally, so the retry ladder covers both.)
+  // own accuracy.
   const double mean_var = cov.trace() / static_cast<double>(cov.rows());
   la::EigenDecomposition eig;
   for (int attempt = 0;; ++attempt) {
     try {
-      eig = (solver == EigenSolver::kTruncated)
-                ? la::eigen_symmetric_truncated(cov, variance_capture)
-                : la::eigen_symmetric(cov);
+      eig = la::eigen_symmetric(cov);
       break;
     } catch (const Error& e) {
       if (e.code() != ErrorCode::kNonconvergence || attempt >= 3) throw;
@@ -217,13 +213,10 @@ CanonicalForm make_canonical_form(const GridModel& grid,
   }
 
   // Select the leading principal components capturing the requested share
-  // of total variance (the truncated solver already returns exactly that
-  // set). Eigenvalues are sorted descending; tiny negative values from
-  // roundoff are clipped by the shared truncation rule.
+  // of total variance. Eigenvalues are sorted descending; tiny negative
+  // values from roundoff are clipped by the shared truncation rule.
   const std::size_t keep =
-      (solver == EigenSolver::kTruncated)
-          ? eig.values.size()
-          : la::leading_component_count(eig.values, variance_capture);
+      la::leading_component_count(eig.values, variance_capture);
   require(keep > 0, "make_canonical_form: covariance has no variance");
   la::Matrix sens = la::principal_factor(eig, keep);
 

@@ -151,25 +151,15 @@ class CanonicalForm {
   double residual_sigma_;
 };
 
-/// Eigensolver backing the PCA step of make_canonical_form.
-enum class EigenSolver {
-  kDense,      ///< full Householder + QL decomposition (the reference)
-  kTruncated,  ///< blocked subspace iteration converging only the kept PCs
-};
-
 /// Builds the canonical form for a die: covariance -> eigendecomposition ->
 /// sensitivities lambda_{i,k} = V_{ik} sqrt(eig_k). Principal components
 /// with cumulative variance beyond `variance_capture` (in (0, 1]) are
 /// truncated — the paper notes "the number of principal components (usually
 /// fewer than hundreds) is much smaller than the number of devices".
-/// `solver` selects the dense reference decomposition (default) or the
-/// truncated subspace-iteration path that converges only the kept leading
-/// components (worthwhile for large grids with variance_capture < 1).
 CanonicalForm make_canonical_form(
     const GridModel& grid, const VariationBudget& budget, double rho_dist,
     double variance_capture = 0.999, const WaferPattern& pattern = {},
-    CorrelationKernel kernel = CorrelationKernel::kExponential,
-    EigenSolver solver = EigenSolver::kDense);
+    CorrelationKernel kernel = CorrelationKernel::kExponential);
 
 /// Device placement summary: for each design block, the share of its
 /// devices falling in each correlation grid cell (devices are assumed

@@ -189,9 +189,9 @@ TEST_F(CliGoldenTest, DefaultConfigOutputsMatchDigests) {
 // mechanism spec included.
 TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
   check("design c2\ndevice_density 2500\nvdd 1.15\nrho_dist 0.4\ngrid 8\n"
-        "ambient_c 50\nvariance_capture 0.99\neigen_solver truncated\n"
-        "thermal_sweep redblack\nmechanisms oxide,nbti,em\n"
-        "device_sampling per_device\nmc_chips 16\nsimd scalar\n",
+        "ambient_c 50\nvariance_capture 0.99\nthermal_sweep redblack\n"
+        "mechanisms oxide,nbti,em\ndevice_sampling per_device\nmc_chips 16\n"
+        "simd scalar\n",
         {{"thermal", "0278b14918686187"},
          {"analyze", "814b11315807f8da"},
          {"report", "9c14c639abd10af2"},
@@ -200,8 +200,8 @@ TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
          {"drm run", "9c14a331ffddb18d"},
          {"fleet", "d3eac0fd4ba976bc"},
          {"serve", "a1e9c2e1da8e72f0"}},
-        "2a7df6ad89cea6f8",
-        "7c33448f10c276af.lut a26d179d3fb17043.lut e6acec1a32b14110.lut");
+        "9e7540cb31b01bf1",
+        "118f4ca0f6d09fc1.lut 8ed68bf06cbaa99a.lut f7720616e0914216.lut");
 }
 
 }  // namespace

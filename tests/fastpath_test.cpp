@@ -1,7 +1,6 @@
 // Tests for the algorithmic fast paths: the binned device sampler, the
-// batched F(t) sweep kernel, the displacement-table covariance, the
-// truncated eigensolver, and the shared truncation/Gram helpers they are
-// built from.
+// batched F(t) sweep kernel, the displacement-table covariance, and the
+// shared truncation/Gram helpers they are built from.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -323,8 +322,6 @@ TEST(TruncationHelpers, LeadingComponentCountRule) {
   // share 1.0 keeps every positive component but never the zero/negative
   // tail.
   EXPECT_EQ(la::leading_component_count(values, 1.0), 4u);
-  // Explicit-total overload.
-  EXPECT_EQ(la::leading_component_count(values, 0.5, 10.0), 2u);
   // No positive mass -> zero components; callers decide how to clamp.
   EXPECT_EQ(la::leading_component_count({0.0, -1.0}, 0.9), 0u);
 }
@@ -368,68 +365,6 @@ TEST(GramAat, BitIdenticalToTripleLoop) {
       EXPECT_EQ(g(i, j), s);
       EXPECT_EQ(g(j, i), s);
     }
-  }
-}
-
-// ------------------------------------------------------------------------
-// Truncated eigensolver
-
-TEST(TruncatedEigen, MatchesDenseLeadingEigenpairs) {
-  // Matern-3/2 covariance: fast spectral decay, well conditioned — the
-  // truncated solver's target regime, large enough (n = 144) to exercise
-  // the subspace iteration rather than the small-n dense fallback.
-  const var::GridModel grid(8.0, 8.0, 12);
-  const la::Matrix cov = var::build_covariance(
-      grid, var::VariationBudget{}, 0.5, var::CorrelationKernel::kMatern32);
-  const auto full = la::eigen_symmetric(cov);
-  for (const double capture : {0.95, 0.999}) {
-    const auto trunc = la::eigen_symmetric_truncated(cov, capture);
-    ASSERT_GE(trunc.values.size(), 1u) << "capture " << capture;
-    ASSERT_LE(trunc.values.size(), full.values.size());
-    // The kept count must follow the shared truncation rule applied to the
-    // full spectrum.
-    EXPECT_EQ(trunc.values.size(),
-              std::max<std::size_t>(
-                  1, la::leading_component_count(full.values, capture)))
-        << "capture " << capture;
-    const double scale = std::max(1.0, full.values.front());
-    for (std::size_t k = 0; k < trunc.values.size(); ++k) {
-      EXPECT_NEAR(trunc.values[k], full.values[k], 1e-8 * scale)
-          << "capture " << capture << " pair " << k;
-      // Residual ||A v - lambda v|| pins the eigenvector without fighting
-      // sign/degeneracy ambiguities.
-      double res2 = 0.0;
-      for (std::size_t i = 0; i < cov.rows(); ++i) {
-        double av = 0.0;
-        for (std::size_t j = 0; j < cov.cols(); ++j)
-          av += cov(i, j) * trunc.vectors(j, k);
-        const double r = av - trunc.values[k] * trunc.vectors(i, k);
-        res2 += r * r;
-      }
-      EXPECT_LE(std::sqrt(res2), 1e-8 * scale)
-          << "capture " << capture << " pair " << k;
-    }
-  }
-}
-
-TEST(TruncatedEigen, SmallMatricesFallBackToDenseExactly) {
-  la::Matrix a(6, 6);
-  stats::Rng rng(9);
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = i; j < 6; ++j) {
-      a(i, j) = rng.normal();
-      a(j, i) = a(i, j);
-    }
-  for (std::size_t i = 0; i < 6; ++i) a(i, i) += 6.0;
-  const auto full = la::eigen_symmetric(a);
-  const auto trunc = la::eigen_symmetric_truncated(a, 0.9);
-  const std::size_t keep =
-      std::max<std::size_t>(1, la::leading_component_count(full.values, 0.9));
-  ASSERT_EQ(trunc.values.size(), keep);
-  for (std::size_t k = 0; k < keep; ++k) {
-    EXPECT_EQ(trunc.values[k], full.values[k]);
-    for (std::size_t i = 0; i < 6; ++i)
-      EXPECT_EQ(trunc.vectors(i, k), full.vectors(i, k));
   }
 }
 

@@ -435,6 +435,9 @@ TEST_F(ServeTest, RejectsMalformedRequests) {
   // Daemon policy keys are not per-request overridable.
   EXPECT_EQ(code("id=a t=1e8 set.threads=1"), ErrorCode::kInvalidInput);
   EXPECT_EQ(code("id=a t=1e8 set.faults=x"), ErrorCode::kInvalidInput);
+  // Nor is a key no config reads any more.
+  EXPECT_EQ(code("id=a t=1e8 set.eigen_solver=truncated"),
+            ErrorCode::kInvalidInput);
   EXPECT_EQ(code("id=a t=1e8 op=frob"), ErrorCode::kInvalidInput);
 }
 
@@ -469,7 +472,6 @@ TEST_F(ServeTest, ProblemKeyReflectsOverrides) {
       {"grid", "10"},
       {"ambient_c", "60"},
       {"variance_capture", "0.99"},
-      {"eigen_solver", "truncated"},
       {"thermal_sweep", "redblack"},
       {"mechanisms", "oxide,nbti"},
       {"redundancy", "g:blk0+blk1:1"},
@@ -507,7 +509,6 @@ TEST_F(ServeTest, VariationKeyCoversExactlyTheVariationStage) {
       {"rho_dist", "0.25"},
       {"grid", "10"},
       {"variance_capture", "0.99"},
-      {"eigen_solver", "truncated"},
   };
   const std::vector<std::pair<std::string, std::string>> operating_point = {
       {"vdd", "1.1"},

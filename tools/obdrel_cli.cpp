@@ -38,7 +38,6 @@
 //   grid          correlation grid cells per side        (default 25)
 //   ambient_c     ambient temperature [C]                (default 45)
 //   variance_capture  PCA truncation share in (0, 1]     (default 0.999)
-//   eigen_solver  dense | truncated (PCA eigensolver)    (default dense)
 //   methods       any of: st_fast st_mc hybrid guard mc  (default all)
 //   mc_chips      Monte Carlo sample chips               (default 500)
 //   device_sampling   per_device | binned (MC sampler)   (default per_device)
