@@ -9,24 +9,16 @@
 // only the k dirty rows and re-reduces. With k/N = 5% the arithmetic says
 // ~N/k; the gate demands >= 3x end to end.
 //
-// Two laps, both bit-gated:
-//
-//   1. hybrid replay — HybridEvaluator::failure_probability_with per step
-//      vs IncrementalEvaluator::evaluate on a ChipState. Every step's
-//      incremental result must be bit-identical to the from-scratch call
-//      (same ops, fixed reduction order — see core/incremental.hpp).
-//      The >= 3x speedup gate rides on this lap (checked by CI via jq on
-//      the JSON; the in-bench exit code gates bit-identity).
-//   2. Monte Carlo context reuse — failure_probabilities_with with its
-//      differentially-refreshed factor table vs a cold analyzer evaluating
-//      the final trace state. Informational speedup (the chip sweep is
-//      dirty-independent, so gains are bounded by the refresh share); the
-//      bit gate is the point.
+// The lap is the hybrid replay: HybridEvaluator::failure_probability_with
+// per step vs IncrementalEvaluator::evaluate on a ChipState. Every step's
+// incremental result must be bit-identical to the from-scratch call (same
+// ops, fixed reduction order — see core/incremental.hpp). The >= 3x
+// speedup gate rides on this lap (checked by CI via jq on the JSON; the
+// in-bench exit code gates bit-identity).
 //
 // Results go to BENCH_incremental.json (in $OBDREL_CSV_DIR when set).
 // Knobs: OBDREL_INC_BLOCKS (500), OBDREL_INC_STEPS (2000),
-// OBDREL_INC_DIRTY_PCT (5), OBDREL_INC_LAPS (3), OBDREL_INC_MC_CHIPS (32),
-// OBDREL_INC_MC_STEPS (40).
+// OBDREL_INC_DIRTY_PCT (5), OBDREL_INC_LAPS (3).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -44,7 +36,6 @@
 #include "core/device_model.hpp"
 #include "core/hybrid.hpp"
 #include "core/incremental.hpp"
-#include "core/montecarlo.hpp"
 #include "core/problem.hpp"
 #include "stats/rng.hpp"
 #include "variation/model.hpp"
@@ -67,8 +58,6 @@ int main() {
   const std::size_t steps = bench::env_size("OBDREL_INC_STEPS", 2000);
   const std::size_t dirty_pct = bench::env_size("OBDREL_INC_DIRTY_PCT", 5);
   const std::size_t laps = bench::env_size("OBDREL_INC_LAPS", 3);
-  const std::size_t mc_chips = bench::env_size("OBDREL_INC_MC_CHIPS", 32);
-  const std::size_t mc_steps = bench::env_size("OBDREL_INC_MC_STEPS", 40);
   const std::size_t dirty_per_step =
       std::max<std::size_t>(1, n_blocks * dirty_pct / 100);
 
@@ -163,80 +152,8 @@ int main() {
               seconds_full, seconds_incremental, speedup,
               bit_identical ? "IDENTICAL" : "DIFFER");
 
-  // ------------------------------------- Monte Carlo context-reuse lap ----
-  // Replay a shorter prefix (the chip sweep makes each step much more
-  // expensive than a hybrid lookup), then check the incrementally-evolved
-  // factor table against a cold analyzer at the final trace state.
-  double mc_seconds_incremental = 0.0;
-  double mc_seconds_cold = 0.0;
-  bool mc_bit_identical = true;
-  {
-    core::MonteCarloOptions mopts;
-    mopts.chip_samples = mc_chips;
-    mopts.sampling = core::DeviceSampling::kBinned;
-    mopts.seed = 11;
-    const core::MonteCarloAnalyzer mc(problem, mopts);
-    const std::vector<double> ts{5.0 * bench::kYear, 10.0 * bench::kYear};
-
-    std::vector<double> alphas(n), bs(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      alphas[j] = problem.blocks()[j].alpha;
-      bs[j] = problem.blocks()[j].b;
-    }
-    const std::size_t prefix = std::min(mc_steps, steps);
-    std::vector<double> last;
-    Stopwatch sw;
-    for (std::size_t i = 0; i < prefix; ++i) {
-      for (const Update& u : trace[i]) {
-        alphas[u.block] = u.alpha;
-        bs[u.block] = u.b;
-      }
-      last = mc.failure_probabilities_with(ts, alphas, bs);
-      g_sink = last.front();
-    }
-    mc_seconds_incremental = sw.seconds();
-
-    // Bit gate: a fresh analyzer (same options -> identical chips) builds
-    // its context from scratch at the final trace state; the result must
-    // match the incrementally-evolved context exactly.
-    const core::MonteCarloAnalyzer mc_cold(problem, mopts);
-    const std::vector<double> cold =
-        mc_cold.failure_probabilities_with(ts, alphas, bs);
-    for (std::size_t k = 0; k < cold.size(); ++k)
-      if (std::bit_cast<std::uint64_t>(cold[k]) !=
-          std::bit_cast<std::uint64_t>(last[k]))
-        mc_bit_identical = false;
-
-    // All-dirty timing reference: same machinery, but every block's
-    // (alpha, b) bit-changes each step, so every row re-enters
-    // fill_bin_factors. The gap to the 5%-dirty lap is the refresh share
-    // the incremental path recovers (the chip sweep itself is
-    // dirty-independent).
-    std::vector<double> a2(n), b2(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      a2[j] = problem.blocks()[j].alpha;
-      b2[j] = problem.blocks()[j].b;
-    }
-    const core::MonteCarloAnalyzer mc_full(problem, mopts);
-    sw.reset();
-    for (std::size_t i = 0; i < prefix; ++i) {
-      const double drift = 1.0 + 1e-12 * static_cast<double>(i + 1);
-      for (std::size_t j = 0; j < n; ++j) {
-        a2[j] = problem.blocks()[j].alpha * drift;
-        b2[j] = problem.blocks()[j].b * drift;
-      }
-      const std::vector<double> r = mc_full.failure_probabilities_with(ts, a2, b2);
-      g_sink = r.front();
-    }
-    mc_seconds_cold = sw.seconds();
-    std::printf("[mc context reuse] %zu steps x %zu chips: 5%%-dirty "
-                "%.4f s, all-dirty %.4f s, cold-vs-evolved bitwise %s\n",
-                prefix, mc_chips, mc_seconds_incremental, mc_seconds_cold,
-                mc_bit_identical ? "IDENTICAL" : "DIFFER");
-  }
-
-  const bool pass = bit_identical && mc_bit_identical;
-  std::printf("\nbit-identity gates %s (speedup %.1fx; >= 3x gated in CI)\n",
+  const bool pass = bit_identical;
+  std::printf("\nbit-identity gate %s (speedup %.1fx; >= 3x gated in CI)\n",
               pass ? "PASS" : "FAIL", speedup);
 
   std::string dir = csv_output_dir();
@@ -253,10 +170,6 @@ int main() {
       << "  \"speedup\": " << speedup << ",\n"
       << "  \"bit_identical\": " << (bit_identical ? "true" : "false")
       << ",\n"
-      << "  \"mc_seconds_incremental\": " << mc_seconds_incremental << ",\n"
-      << "  \"mc_seconds_full\": " << mc_seconds_cold << ",\n"
-      << "  \"mc_bit_identical\": "
-      << (mc_bit_identical ? "true" : "false") << ",\n"
       << "  \"pass\": " << (pass ? "true" : "false") << "\n"
       << "}\n";
   std::printf("(wrote %s)\n", path.c_str());

@@ -61,8 +61,8 @@ class HybridEvaluator {
   /// Failure probability at t with the problem's own (alpha_j, b_j).
   [[nodiscard]] double failure_probability(double t) const;
 
-  /// Batched F(t) sweep over `ts` — the table-lookup counterpart of the
-  /// MonteCarloAnalyzer batched-sweep API, and the entry point the serving
+  /// Batched F(t) sweep over `ts` — the table-lookup counterpart of
+  /// MonteCarloAnalyzer::failure_probabilities, and the entry point the serving
   /// layer coalesces same-fingerprint queries onto. Each point shares the
   /// single-point evaluation kernel, so the batch is bit-identical to
   /// calling failure_probability per point.

@@ -1,9 +1,7 @@
 #include "core/montecarlo.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -81,15 +79,9 @@ void fill_bin_factors(double gb, double x_lo, double step, std::size_t bins,
 
 MonteCarloAnalyzer::MonteCarloAnalyzer(const ReliabilityProblem& problem,
                                        const MonteCarloOptions& options)
-    : problem_(&problem), options_(options) {
-  require(!problem.mechanisms().has_redundancy(), ErrorCode::kInvalidInput,
-          "MonteCarloAnalyzer: redundancy spare groups are not supported on "
-          "the Monte Carlo path (use the analytic or hybrid evaluators)");
+    : MonteCarloAnalyzer(StreamingTag{}, problem, options) {
   require(options.chip_samples >= 10,
           "MonteCarloAnalyzer: need at least 10 sample chips");
-  require(options.thickness_bins >= 16,
-          "MonteCarloAnalyzer: need at least 16 thickness bins");
-  init_axis();
 
   // One independent stream per chip, derived by splitmix64-mixing
   // (seed, chip index) — see Rng::stream. Results are reproducible and
@@ -136,18 +128,9 @@ MonteCarloAnalyzer::MonteCarloAnalyzer(StreamingTag,
           "the Monte Carlo path (use the analytic or hybrid evaluators)");
   require(options.thickness_bins >= 16,
           "MonteCarloAnalyzer: need at least 16 thickness bins");
-  init_axis();
-}
-
-MonteCarloAnalyzer MonteCarloAnalyzer::streaming(
-    const ReliabilityProblem& problem, const MonteCarloOptions& options) {
-  return MonteCarloAnalyzer(StreamingTag{}, problem, options);
-}
-
-void MonteCarloAnalyzer::init_axis() {
   // Common thickness axis covering nominal spread plus range_sigmas of
   // total variation (wafer patterns can shift the per-grid nominal).
-  const var::CanonicalForm& canonical = problem_->canonical();
+  const var::CanonicalForm& canonical = problem.canonical();
   double nom_lo = canonical.nominal(0);
   double nom_hi = canonical.nominal(0);
   for (std::size_t g = 1; g < canonical.grid_count(); ++g) {
@@ -155,11 +138,16 @@ void MonteCarloAnalyzer::init_axis() {
     nom_hi = std::max(nom_hi, canonical.nominal(g));
   }
   const double half =
-      options_.thickness_range_sigmas * problem_->budget().sigma_total();
+      options.thickness_range_sigmas * problem.budget().sigma_total();
   x_lo_ = nom_lo - half;
   x_step_ =
-      (nom_hi + half - x_lo_) / static_cast<double>(options_.thickness_bins);
-  x_hi_ = x_lo_ + x_step_ * static_cast<double>(options_.thickness_bins);
+      (nom_hi + half - x_lo_) / static_cast<double>(options.thickness_bins);
+  x_hi_ = x_lo_ + x_step_ * static_cast<double>(options.thickness_bins);
+}
+
+MonteCarloAnalyzer MonteCarloAnalyzer::streaming(
+    const ReliabilityProblem& problem, const MonteCarloOptions& options) {
+  return MonteCarloAnalyzer(StreamingTag{}, problem, options);
 }
 
 MonteCarloAnalyzer::RangePartial MonteCarloAnalyzer::accumulate_chip_range(
@@ -192,19 +180,11 @@ MonteCarloAnalyzer::RangePartial MonteCarloAnalyzer::accumulate_chip_range(
   for (std::uint64_t i = chip_begin; i < chip_end; ++i) {
     stats::Rng rng = stats::Rng::stream(options_.seed, i);
     const ChipSample chip = sample_chip(rng);
-    if (extra_s.empty()) {
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const double f = -std::expm1(-chip_exponent_ctx(chip, ctx, ti));
-        out.sum_f[ti] += f;
-        out.sum_f2[ti] += f * f;
-      }
-    } else {
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const double f_ox = -std::expm1(-chip_exponent_ctx(chip, ctx, ti));
-        const double f = 1.0 - (1.0 - f_ox) * extra_s[ti];
-        out.sum_f[ti] += f;
-        out.sum_f2[ti] += f * f;
-      }
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      double f = -std::expm1(-chip_exponent_ctx(chip, ctx, ti));
+      if (!extra_s.empty()) f = 1.0 - (1.0 - f) * extra_s[ti];
+      out.sum_f[ti] += f;
+      out.sum_f2[ti] += f * f;
     }
   }
   return out;
@@ -483,245 +463,84 @@ MonteCarloAnalyzer::EvalContext MonteCarloAnalyzer::build_eval_context(
   return ctx;
 }
 
+double MonteCarloAnalyzer::block_sum(const ChipSample& chip, std::size_t j,
+                                     const double* factors, double factor_lo,
+                                     double factor_hi) {
+  const std::size_t lo = chip.nz_lo[j];
+  const std::size_t hi = chip.nz_hi[j];
+  double s =
+      dot_counts(chip.block_bins[j].data() + lo, factors + lo, hi - lo);
+  // Out-of-range populations contribute at the axis boundaries (their
+  // clamp values), not at the edge-bin centers.
+  if (chip.underflow[j] != 0)
+    s += static_cast<double>(chip.underflow[j]) * factor_lo;
+  if (chip.overflow[j] != 0)
+    s += static_cast<double>(chip.overflow[j]) * factor_hi;
+  return s;
+}
+
 double MonteCarloAnalyzer::chip_exponent_ctx(const ChipSample& chip,
                                              const EvalContext& ctx,
                                              std::size_t ti) const {
   double h = 0.0;
   for (std::size_t j = 0; j < ctx.nblocks; ++j) {
-    const double* factors =
-        ctx.factors.data() + (ti * ctx.nblocks + j) * ctx.bins;
-    const std::size_t lo = chip.nz_lo[j];
-    const std::size_t hi = chip.nz_hi[j];
-    double s = dot_counts(chip.block_bins[j].data() + lo, factors + lo,
-                          hi - lo);
-    // Out-of-range populations contribute at the axis boundaries (their
-    // clamp values), not at the edge-bin centers.
-    if (chip.underflow[j] != 0)
-      s += static_cast<double>(chip.underflow[j]) *
-           ctx.lo[ti * ctx.nblocks + j];
-    if (chip.overflow[j] != 0)
-      s += static_cast<double>(chip.overflow[j]) *
-           ctx.hi[ti * ctx.nblocks + j];
-    h += ctx.area[j] * s;
+    const std::size_t row = ti * ctx.nblocks + j;
+    h += ctx.area[j] * block_sum(chip, j, ctx.factors.data() + row * ctx.bins,
+                                 ctx.lo[row], ctx.hi[row]);
   }
   return h;
 }
 
 double MonteCarloAnalyzer::chip_exponent(const ChipSample& chip,
                                          double t) const {
-  // Scalar one-point evaluation through the same factor-table kernel as
-  // the batched path (dot_counts over fill_bin_factors output), so the two
-  // are bit-identical by construction. The table lives in a per-thread
-  // scratch: Brent iterations in sample_failure_times evaluate this in a
-  // tight loop and must not allocate.
+  // Scalar one-point evaluation with the same per-row values as
+  // build_eval_context, so it is bit-identical to the batched path. The
+  // table lives in a per-thread scratch: Brent iterations in
+  // sample_failure_times evaluate this in a tight loop and must not
+  // allocate.
   const auto& blocks = problem_->blocks();
-  const std::size_t bins = options_.thickness_bins;
   std::vector<double>& factors = scalar_factor_scratch;
   double h = 0.0;
   for (std::size_t j = 0; j < blocks.size(); ++j) {
     const double gb = std::log(t / blocks[j].alpha) * blocks[j].b;
-    detail::fill_bin_factors(gb, x_lo_, x_step_, bins, factors);
-    const std::size_t lo = chip.nz_lo[j];
-    const std::size_t hi = chip.nz_hi[j];
-    double s = dot_counts(chip.block_bins[j].data() + lo,
-                          factors.data() + lo, hi - lo);
-    if (chip.underflow[j] != 0)
-      s += static_cast<double>(chip.underflow[j]) * std::exp(gb * x_lo_);
-    if (chip.overflow[j] != 0)
-      s += static_cast<double>(chip.overflow[j]) * std::exp(gb * x_hi_);
+    detail::fill_bin_factors(gb, x_lo_, x_step_, options_.thickness_bins,
+                             factors);
     const double per_device_area =
         blocks[j].area /
         static_cast<double>(problem_->design().blocks[j].device_count);
-    h += per_device_area * s;
+    h += per_device_area * block_sum(chip, j, factors.data(),
+                                     std::exp(gb * x_lo_),
+                                     std::exp(gb * x_hi_));
   }
   return h;
 }
 
-double MonteCarloAnalyzer::chip_exponent_reference(const ChipSample& chip,
-                                                   double t) const {
-  const auto& blocks = problem_->blocks();
-  double h = 0.0;
-  for (std::size_t j = 0; j < blocks.size(); ++j) {
-    const double gamma = std::log(t / blocks[j].alpha);
-    // The pre-fast-path recurrence: p_{k+1} = p_k * exp(gamma b dx) with
-    // no re-anchoring — one exp per block, but the running product drifts
-    // by O(bins) ulps across the axis.
-    const double base =
-        std::exp(gamma * blocks[j].b * (x_lo_ + 0.5 * x_step_));
-    const double ratio = std::exp(gamma * blocks[j].b * x_step_);
-    double p = base;
-    double s = 0.0;
-    for (const std::uint32_t c : chip.block_bins[j]) {
-      if (c != 0) s += static_cast<double>(c) * p;
-      p *= ratio;
-    }
-    if (chip.underflow[j] != 0)
-      s += static_cast<double>(chip.underflow[j]) *
-           std::exp(gamma * blocks[j].b * x_lo_);
-    if (chip.overflow[j] != 0)
-      s += static_cast<double>(chip.overflow[j]) *
-           std::exp(gamma * blocks[j].b * x_hi_);
-    const double per_device_area =
-        blocks[j].area /
-        static_cast<double>(problem_->design().blocks[j].device_count);
-    h += per_device_area * s;
-  }
-  return h;
-}
-
-std::vector<double> MonteCarloAnalyzer::failure_probabilities(
+void MonteCarloAnalyzer::require_stored_query(
     std::span<const double> ts) const {
   require(!chips_.empty(), ErrorCode::kInvalidInput,
           "MonteCarloAnalyzer: stored-sample query on a streaming analyzer");
   for (const double t : ts)
     require(t > 0.0, "MonteCarloAnalyzer: t must be positive");
-  if (ts.empty()) return {};
-  const EvalContext ctx = build_eval_context(ts);
-  return sweep_over_context(ctx, ts);
 }
 
-std::vector<double> MonteCarloAnalyzer::sweep_over_context(
-    const EvalContext& ctx, std::span<const double> ts) const {
-  const std::size_t nt = ts.size();
-  std::vector<double> sums = par::parallel_reduce(
-      0, chips_.size(), kEvalChunk, std::vector<double>(nt, 0.0),
+template <typename Term>
+std::vector<double> MonteCarloAnalyzer::reduce_chips(const EvalContext& ctx,
+                                                     std::size_t slots,
+                                                     Term term) const {
+  return par::parallel_reduce(
+      0, chips_.size(), kEvalChunk, std::vector<double>(slots, 0.0),
       [&](std::size_t begin, std::size_t end) {
-        std::vector<double> s(nt, 0.0);
+        std::vector<double> acc(slots, 0.0);
         // Chips are tiled so one sweep point's factor rows are reused
         // across a cache-resident group of chip histograms instead of
-        // streaming the whole factor table once per chip. Each s[ti] still
+        // streaming the whole factor table once per chip. Each slot still
         // accumulates chips in ascending order, so the sums are
         // bit-identical to the untiled chip-outer loop.
         for (std::size_t tile = begin; tile < end; tile += kEvalTile) {
           const std::size_t tile_end = std::min(end, tile + kEvalTile);
-          for (std::size_t ti = 0; ti < nt; ++ti)
+          for (std::size_t ti = 0; ti < ctx.nt; ++ti)
             for (std::size_t i = tile; i < tile_end; ++i)
-              s[ti] += -std::expm1(-chip_exponent_ctx(chips_[i], ctx, ti));
-        }
-        return s;
-      },
-      [](std::vector<double> a, const std::vector<double>& b) {
-        for (std::size_t ti = 0; ti < a.size(); ++ti) a[ti] += b[ti];
-        return a;
-      },
-      options_.threads);
-  for (double& s : sums) s /= static_cast<double>(chips_.size());
-  // Aging mechanisms are deterministic at the blocks' default operating
-  // points, so they fold in after the oxide ensemble mean:
-  // E[1 - (1 - F_ox) S(t)] = 1 - (1 - E[F_ox]) S(t).
-  const mech::MechanismStack& stack = problem_->mechanisms();
-  if (stack.extra_count() > 0) {
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-      sums[ti] = std::clamp(
-          1.0 - (1.0 - sums[ti]) * stack.extra_survival(ts[ti]), 0.0, 1.0);
-    }
-  }
-  return sums;
-}
-
-void MonteCarloAnalyzer::refresh_with_context(
-    std::span<const double> ts, const std::vector<double>& alphas,
-    const std::vector<double>& bs) const {
-  const auto& blocks = problem_->blocks();
-  const std::size_t n = blocks.size();
-  // The sweep points are the row axis of the context: a changed `ts` (bit
-  // compare) invalidates every row, so rebuild from scratch.
-  const bool full = !with_valid_ || with_ts_.size() != ts.size() ||
-                    std::memcmp(with_ts_.data(), ts.data(),
-                                ts.size() * sizeof(double)) != 0;
-  EvalContext& ctx = with_ctx_;
-  if (full) {
-    ctx.nt = ts.size();
-    ctx.nblocks = n;
-    ctx.bins = options_.thickness_bins;
-    ctx.factors.assign(ctx.nt * n * ctx.bins, 0.0);
-    ctx.lo.assign(ctx.nt * n, 0.0);
-    ctx.hi.assign(ctx.nt * n, 0.0);
-    ctx.area.resize(n);
-    for (std::size_t j = 0; j < n; ++j)
-      ctx.area[j] =
-          blocks[j].area /
-          static_cast<double>(problem_->design().blocks[j].device_count);
-    with_ts_.assign(ts.begin(), ts.end());
-    // Zero never bit-matches a valid (positive) alpha or b, so the row
-    // loop below refills every block.
-    with_alphas_.assign(n, 0.0);
-    with_bs_.assign(n, 0.0);
-  }
-  std::vector<double> column;
-  std::size_t refreshed = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (std::bit_cast<std::uint64_t>(with_alphas_[j]) ==
-            std::bit_cast<std::uint64_t>(alphas[j]) &&
-        std::bit_cast<std::uint64_t>(with_bs_[j]) ==
-            std::bit_cast<std::uint64_t>(bs[j]))
-      continue;
-    // Same per-row ops as build_eval_context, so a refreshed row is
-    // byte-identical to its cold-built counterpart.
-    for (std::size_t ti = 0; ti < ctx.nt; ++ti) {
-      const double gb = std::log(ts[ti] / alphas[j]) * bs[j];
-      detail::fill_bin_factors(gb, x_lo_, x_step_, ctx.bins, column);
-      std::copy(column.begin(), column.end(),
-                ctx.factors.begin() +
-                    static_cast<std::ptrdiff_t>((ti * n + j) * ctx.bins));
-      ctx.lo[ti * n + j] = std::exp(gb * x_lo_);
-      ctx.hi[ti * n + j] = std::exp(gb * x_hi_);
-    }
-    with_alphas_[j] = alphas[j];
-    with_bs_[j] = bs[j];
-    ++refreshed;
-  }
-  with_rows_refreshed_ = refreshed;
-  with_valid_ = true;
-}
-
-std::vector<double> MonteCarloAnalyzer::failure_probabilities_with(
-    std::span<const double> ts, const std::vector<double>& alphas,
-    const std::vector<double>& bs) const {
-  require(!chips_.empty(), ErrorCode::kInvalidInput,
-          "MonteCarloAnalyzer: stored-sample query on a streaming analyzer");
-  const auto& blocks = problem_->blocks();
-  require(alphas.size() == blocks.size() && bs.size() == blocks.size(),
-          "MonteCarloAnalyzer: one (alpha, b) pair per block required");
-  for (const double t : ts)
-    require(t > 0.0, "MonteCarloAnalyzer: t must be positive");
-  if (ts.empty()) return {};
-  for (std::size_t j = 0; j < blocks.size(); ++j)
-    require(alphas[j] > 0.0 && bs[j] > 0.0,
-            "MonteCarloAnalyzer: alpha and b must be positive");
-  refresh_with_context(ts, alphas, bs);
-  return sweep_over_context(with_ctx_, ts);
-}
-
-double MonteCarloAnalyzer::failure_probability(double t) const {
-  return failure_probabilities(std::span<const double>(&t, 1)).front();
-}
-
-std::vector<double> MonteCarloAnalyzer::failure_std_errors(
-    std::span<const double> ts) const {
-  require(!chips_.empty(), ErrorCode::kInvalidInput,
-          "MonteCarloAnalyzer: stored-sample query on a streaming analyzer");
-  for (const double t : ts)
-    require(t > 0.0, "MonteCarloAnalyzer: t must be positive");
-  if (ts.empty()) return {};
-  const EvalContext ctx = build_eval_context(ts);
-  const std::size_t nt = ts.size();
-  // Partial layout: [0, nt) holds sums, [nt, 2 nt) sums of squares.
-  std::vector<double> m = par::parallel_reduce(
-      0, chips_.size(), kEvalChunk, std::vector<double>(2 * nt, 0.0),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<double> acc(2 * nt, 0.0);
-        // Tiled like failure_probabilities; see the note there.
-        for (std::size_t tile = begin; tile < end; tile += kEvalTile) {
-          const std::size_t tile_end = std::min(end, tile + kEvalTile);
-          for (std::size_t ti = 0; ti < nt; ++ti) {
-            for (std::size_t i = tile; i < tile_end; ++i) {
-              const double f =
-                  -std::expm1(-chip_exponent_ctx(chips_[i], ctx, ti));
-              acc[ti] += f;
-              acc[nt + ti] += f * f;
-            }
-          }
+              term(acc, ti, chip_exponent_ctx(chips_[i], ctx, ti));
         }
         return acc;
       },
@@ -730,6 +549,48 @@ std::vector<double> MonteCarloAnalyzer::failure_std_errors(
         return a;
       },
       options_.threads);
+}
+
+std::vector<double> MonteCarloAnalyzer::failure_probabilities(
+    std::span<const double> ts) const {
+  require_stored_query(ts);
+  if (ts.empty()) return {};
+  const EvalContext ctx = build_eval_context(ts);
+  std::vector<double> sums = reduce_chips(
+      ctx, ts.size(), [](std::vector<double>& acc, std::size_t ti, double h) {
+        acc[ti] += -std::expm1(-h);
+      });
+  for (double& s : sums) s /= static_cast<double>(chips_.size());
+  // Aging mechanisms are deterministic at the blocks' default operating
+  // points, so they fold in after the oxide ensemble mean:
+  // E[1 - (1 - F_ox) S(t)] = 1 - (1 - E[F_ox]) S(t).
+  const mech::MechanismStack& stack = problem_->mechanisms();
+  if (stack.extra_count() > 0) {
+    for (std::size_t ti = 0; ti < ts.size(); ++ti) {
+      sums[ti] = std::clamp(
+          1.0 - (1.0 - sums[ti]) * stack.extra_survival(ts[ti]), 0.0, 1.0);
+    }
+  }
+  return sums;
+}
+
+double MonteCarloAnalyzer::failure_probability(double t) const {
+  return failure_probabilities(std::span<const double>(&t, 1)).front();
+}
+
+std::vector<double> MonteCarloAnalyzer::failure_std_errors(
+    std::span<const double> ts) const {
+  require_stored_query(ts);
+  if (ts.empty()) return {};
+  const EvalContext ctx = build_eval_context(ts);
+  const std::size_t nt = ts.size();
+  // Slot layout: [0, nt) holds sums, [nt, 2 nt) sums of squares.
+  const std::vector<double> m = reduce_chips(
+      ctx, 2 * nt, [nt](std::vector<double>& acc, std::size_t ti, double h) {
+        const double f = -std::expm1(-h);
+        acc[ti] += f;
+        acc[nt + ti] += f * f;
+      });
   const double n = static_cast<double>(chips_.size());
   std::vector<double> out(nt);
   for (std::size_t ti = 0; ti < nt; ++ti) {
@@ -751,28 +612,6 @@ double MonteCarloAnalyzer::failure_std_error(double t) const {
   return failure_std_errors(std::span<const double>(&t, 1)).front();
 }
 
-double MonteCarloAnalyzer::failure_probability_reference(double t) const {
-  require(!chips_.empty(), ErrorCode::kInvalidInput,
-          "MonteCarloAnalyzer: stored-sample query on a streaming analyzer");
-  require(t > 0.0, "MonteCarloAnalyzer: t must be positive");
-  const double sum = par::parallel_reduce(
-      0, chips_.size(), kEvalChunk, 0.0,
-      [&](std::size_t begin, std::size_t end) {
-        double s = 0.0;
-        for (std::size_t i = begin; i < end; ++i)
-          s += -std::expm1(-chip_exponent_reference(chips_[i], t));
-        return s;
-      },
-      [](double a, double b) { return a + b; }, options_.threads);
-  const double mean = sum / static_cast<double>(chips_.size());
-  const mech::MechanismStack& stack = problem_->mechanisms();
-  if (stack.extra_count() > 0) {
-    return std::clamp(1.0 - (1.0 - mean) * stack.extra_survival(t), 0.0,
-                      1.0);
-  }
-  return mean;
-}
-
 double MonteCarloAnalyzer::lifetime_at(double target) const {
   return lifetime_at_failure(
       [this](double t) { return failure_probability(t); }, target);
@@ -780,10 +619,7 @@ double MonteCarloAnalyzer::lifetime_at(double target) const {
 
 std::vector<double> MonteCarloAnalyzer::kth_failure_probabilities(
     std::span<const double> ts, std::size_t k) const {
-  require(!chips_.empty(), ErrorCode::kInvalidInput,
-          "MonteCarloAnalyzer: stored-sample query on a streaming analyzer");
-  for (const double t : ts)
-    require(t > 0.0, "MonteCarloAnalyzer: t must be positive");
+  require_stored_query(ts);
   require(k >= 1, "MonteCarloAnalyzer: k must be >= 1");
   if (k == 1) return failure_probabilities(ts);
   require(problem_->mechanisms().trivial(), ErrorCode::kInvalidInput,
@@ -791,32 +627,12 @@ std::vector<double> MonteCarloAnalyzer::kth_failure_probabilities(
           "breakdown events only; disable aging mechanisms for k > 1");
   if (ts.empty()) return {};
   const EvalContext ctx = build_eval_context(ts);
-  const std::size_t nt = ts.size();
-  std::vector<double> sums = par::parallel_reduce(
-      0, chips_.size(), kEvalChunk, std::vector<double>(nt, 0.0),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<double> s(nt, 0.0);
-        // Tiled like failure_probabilities; see the note there.
-        for (std::size_t tile = begin; tile < end; tile += kEvalTile) {
-          const std::size_t tile_end = std::min(end, tile + kEvalTile);
-          for (std::size_t ti = 0; ti < nt; ++ti) {
-            for (std::size_t i = tile; i < tile_end; ++i) {
-              const double h = chip_exponent_ctx(chips_[i], ctx, ti);
-              // Conditional on the thicknesses, breakdowns are a Poisson
-              // process with mean h; P(N >= k) = P(k, h).
-              s[ti] += (h > 0.0)
-                           ? stats::gamma_p(static_cast<double>(k), h)
-                           : 0.0;
-            }
-          }
-        }
-        return s;
-      },
-      [](std::vector<double> a, const std::vector<double>& b) {
-        for (std::size_t ti = 0; ti < a.size(); ++ti) a[ti] += b[ti];
-        return a;
-      },
-      options_.threads);
+  std::vector<double> sums = reduce_chips(
+      ctx, ts.size(), [k](std::vector<double>& acc, std::size_t ti, double h) {
+        // Conditional on the thicknesses, breakdowns are a Poisson process
+        // with mean h; P(N >= k) = P(k, h).
+        acc[ti] += (h > 0.0) ? stats::gamma_p(static_cast<double>(k), h) : 0.0;
+      });
   for (double& s : sums) s /= static_cast<double>(chips_.size());
   return sums;
 }

@@ -20,15 +20,15 @@
 //   draws from the same distribution (equivalence is pinned by chi-square
 //   tests). The per-device path stays the default and the reference.
 // - F(t) evaluation hoists the chip-invariant per-(t, block) exponential
-//   factor tables out of the per-chip loop (EvalContext), and the batched
-//   failure_probabilities() sweep reuses one context across all sweep
-//   points in a single cache-friendly pass over the chips.
+//   factor tables out of the per-chip loop (EvalContext), and every
+//   stored-chip query (F(t), its standard error, the k-th breakdown
+//   probability) is one batched reduction that reuses one context across
+//   all sweep points in a single cache-friendly pass over the chips.
 //
-// All population-sized loops (chip sampling at construction, the F(t) /
-// std-error / k-th breakdown evaluation sweeps, failure-time simulation)
-// run on the shared deterministic pool (common/parallel.hpp): fixed chunk
-// boundaries and ordered reduction make every result bit-identical for any
-// thread count.
+// All population-sized loops (chip sampling at construction, the
+// stored-chip reduction, failure-time simulation) run on the shared
+// deterministic pool (common/parallel.hpp): fixed chunk boundaries and
+// ordered reduction make every result bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -136,29 +136,6 @@ class MonteCarloAnalyzer {
   [[nodiscard]] std::vector<double> failure_probabilities(
       std::span<const double> ts) const;
 
-  /// Batched F(t) sweep under *different* per-block oxide (alpha, b) —
-  /// the Monte Carlo counterpart of
-  /// HybridEvaluator::failure_probabilities_with. Aging mechanisms stay
-  /// at default conditions. A cached evaluation context persists across
-  /// calls: factor-table rows are pure functions of (t, alpha_j, b_j), so
-  /// a repeat call with the same `ts` that changes k of N blocks (bit
-  /// compare) refills only those k block rows; the reduction always runs
-  /// over all blocks in fixed order, so the result is bit-identical to a
-  /// cold evaluation for any update history. The cache makes concurrent
-  /// calls to this method racy — one querying caller at a time (matching
-  /// the serve/DRM drivers, which are single-threaded at this boundary).
-  [[nodiscard]] std::vector<double> failure_probabilities_with(
-      std::span<const double> ts, const std::vector<double>& alphas,
-      const std::vector<double>& bs) const;
-
-  /// Block rows of the cached context refilled by the most recent
-  /// failure_probabilities_with call (N on a cold/changed-ts call, the
-  /// dirty count otherwise). Observability hook for the incremental
-  /// benchmarks and tests.
-  [[nodiscard]] std::size_t with_rows_refreshed() const {
-    return with_rows_refreshed_;
-  }
-
   /// Standard error of failure_probability(t): sample standard deviation
   /// of the conditional failures over sqrt(chips). Lets benchmark tables
   /// report MC error bars instead of bare point estimates.
@@ -198,13 +175,6 @@ class MonteCarloAnalyzer {
   [[nodiscard]] std::vector<double> sample_failure_times(std::size_t count,
                                                          stats::Rng& rng) const;
 
-  /// Pre-fast-path evaluation of failure_probability: per-chip incremental
-  /// exponentials recomputed inside the chip loop, no coefficient hoisting,
-  /// no re-anchoring. Retained as the honest "before" baseline for
-  /// bench/hot_path_scaling and as a drift witness for the re-anchored
-  /// recurrence; not used by any analysis path.
-  [[nodiscard]] double failure_probability_reference(double t) const;
-
   [[nodiscard]] std::size_t chip_samples() const { return options_.chip_samples; }
   [[nodiscard]] const ReliabilityProblem& problem() const { return *problem_; }
 
@@ -232,13 +202,11 @@ class MonteCarloAnalyzer {
 
  private:
   struct StreamingTag {};
-  /// Axis-only construction backing streaming(): no chip sampling, no
-  /// minimum-population requirement.
+  /// Axis-only construction backing streaming() and the sampling
+  /// constructor: validates the options and builds the thickness axis;
+  /// samples no chips.
   MonteCarloAnalyzer(StreamingTag, const ReliabilityProblem& problem,
                      const MonteCarloOptions& options);
-
-  /// Common axis setup shared by both constructors.
-  void init_axis();
 
   /// Per-chip compressed thickness population: per block, bin counts over
   /// the common thickness axis plus explicit under/overflow counts for
@@ -283,36 +251,39 @@ class MonteCarloAnalyzer {
   [[nodiscard]] EvalContext build_eval_context(
       std::span<const double> ts) const;
 
-  /// Ensemble reduction over the stored chips against a prebuilt context,
-  /// including the deterministic aging fold. failure_probabilities and
-  /// failure_probabilities_with share this kernel, so their results are
-  /// bit-identical by construction whenever their contexts are.
-  [[nodiscard]] std::vector<double> sweep_over_context(
-      const EvalContext& ctx, std::span<const double> ts) const;
+  /// Stored-sample query preamble: rejects streaming analyzers and
+  /// non-positive sweep points.
+  void require_stored_query(std::span<const double> ts) const;
 
-  /// Differential refresh of the cached `with` context: a full rebuild
-  /// when the sweep points changed (bit compare) or no cache exists,
-  /// otherwise only the block rows whose (alpha, b) bits changed.
-  void refresh_with_context(std::span<const double> ts,
-                            const std::vector<double>& alphas,
-                            const std::vector<double>& bs) const;
+  /// The one reduction over the stored chips against a prebuilt context:
+  /// `slots` partial sums, each chunk of kEvalChunk chips tiled by
+  /// kEvalTile, calling term(acc, ti, h) for every (chip, ti) with the
+  /// chip exponent h at sweep point ti. Each slot accumulates chips in
+  /// ascending order and chunk partials fold in ascending chunk order, so
+  /// the sums are bit-identical for any thread count.
+  template <typename Term>
+  [[nodiscard]] std::vector<double> reduce_chips(const EvalContext& ctx,
+                                                 std::size_t slots,
+                                                 Term term) const;
+
+  /// One block's term of the chip exponent before the area weight: the
+  /// count vector dotted against the block's factor row over its nonzero
+  /// range, plus the under/overflow populations at the boundary factors.
+  [[nodiscard]] static double block_sum(const ChipSample& chip,
+                                        std::size_t j, const double* factors,
+                                        double factor_lo, double factor_hi);
 
   /// Sum over blocks of A-weighted Weibull exponents for one chip:
   /// H(t) = sum_j a_j sum_bins count * exp(gamma_j b_j x_bin), with the
   /// under/overflow populations contributing at the axis boundaries.
-  /// Shares the factor-table + fixed-accumulator kernel with the batched
-  /// path, so the scalar and batched evaluations are bit-identical.
+  /// Shares block_sum with the batched path, so the scalar and batched
+  /// evaluations are bit-identical.
   [[nodiscard]] double chip_exponent(const ChipSample& chip, double t) const;
 
   /// Batched-kernel evaluation of one chip at sweep point `ti` of `ctx`.
   [[nodiscard]] double chip_exponent_ctx(const ChipSample& chip,
                                          const EvalContext& ctx,
                                          std::size_t ti) const;
-
-  /// Legacy evaluation (pre-hoisting incremental recurrence) backing
-  /// failure_probability_reference only.
-  [[nodiscard]] double chip_exponent_reference(const ChipSample& chip,
-                                               double t) const;
 
   const ReliabilityProblem* problem_;  // non-owning; must outlive this
   MonteCarloOptions options_;
@@ -321,15 +292,6 @@ class MonteCarloAnalyzer {
   double x_hi_ = 0.0;   ///< histogram upper edge [nm]
   double out_of_range_fraction_ = 0.0;
   std::vector<ChipSample> chips_;
-
-  // Cached state of failure_probabilities_with (see the public contract):
-  // the context plus the (ts, alpha, b) values it was filled for.
-  mutable EvalContext with_ctx_;
-  mutable std::vector<double> with_ts_;
-  mutable std::vector<double> with_alphas_;
-  mutable std::vector<double> with_bs_;
-  mutable bool with_valid_ = false;
-  mutable std::size_t with_rows_refreshed_ = 0;
 };
 
 }  // namespace obd::core

@@ -1,7 +1,6 @@
 // Incremental recomputation engine: ChipState dirty tracking, the
-// IncrementalEvaluator's bit-identity contract, the Monte Carlo
-// failure_probabilities_with cache, the step arena, and the cached
-// canonical/fingerprint renderings.
+// IncrementalEvaluator's bit-identity contract, the step arena, and the
+// cached canonical/fingerprint renderings.
 //
 // The load-bearing property here is bit-identity: any random sequence of
 // partial updates followed by an evaluation must produce exactly the bits
@@ -25,7 +24,6 @@
 #include "core/device_model.hpp"
 #include "core/hybrid.hpp"
 #include "core/incremental.hpp"
-#include "core/montecarlo.hpp"
 #include "core/problem.hpp"
 #include "mech/spec.hpp"
 #include "simd/dispatch.hpp"
@@ -329,134 +327,6 @@ TEST_F(IncrementalFixture, RandomUpdateSequencesBitIdenticalToRebuild) {
       }
     }
   }
-}
-
-// ------------------------------------------------------------------------
-// Monte Carlo failure_probabilities_with
-
-class MonteCarloWithFixture : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    design_ = new chip::Design(chip::make_synthetic_design(
-        "MCW", {.devices = 20000, .block_count = 6, .die_width = 5.0,
-                .die_height = 5.0, .seed = 13}));
-    model_ = new core::AnalyticReliabilityModel();
-    temps_ = new std::vector<double>{90.0, 72.0, 60.0, 84.0, 66.0, 78.0};
-    core::ProblemOptions opts;
-    opts.grid_cells_per_side = 10;
-    problem_ = new core::ReliabilityProblem(core::ReliabilityProblem::build(
-        *design_, var::VariationBudget{}, *model_, *temps_, 1.2, opts));
-  }
-  static void TearDownTestSuite() {
-    delete problem_;
-    delete temps_;
-    delete model_;
-    delete design_;
-  }
-  static core::MonteCarloOptions mc_options() {
-    core::MonteCarloOptions mopts;
-    mopts.chip_samples = 24;
-    mopts.sampling = core::DeviceSampling::kBinned;
-    mopts.seed = 5;
-    return mopts;
-  }
-
-  static chip::Design* design_;
-  static core::AnalyticReliabilityModel* model_;
-  static std::vector<double>* temps_;
-  static core::ReliabilityProblem* problem_;
-};
-
-chip::Design* MonteCarloWithFixture::design_ = nullptr;
-core::AnalyticReliabilityModel* MonteCarloWithFixture::model_ = nullptr;
-std::vector<double>* MonteCarloWithFixture::temps_ = nullptr;
-core::ReliabilityProblem* MonteCarloWithFixture::problem_ = nullptr;
-
-TEST_F(MonteCarloWithFixture, AtBlockParamsMatchesPlainSweep) {
-  const core::MonteCarloAnalyzer mc(*problem_, mc_options());
-  const std::size_t n = problem_->blocks().size();
-  std::vector<double> alphas(n), bs(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    alphas[j] = problem_->blocks()[j].alpha;
-    bs[j] = problem_->blocks()[j].b;
-  }
-  const std::vector<double> ts{4.0 * kYear, 8.0 * kYear, 12.0 * kYear};
-  const std::vector<double> plain = mc.failure_probabilities(ts);
-  const std::vector<double> with = mc.failure_probabilities_with(ts, alphas, bs);
-  ASSERT_EQ(with.size(), plain.size());
-  for (std::size_t i = 0; i < with.size(); ++i)
-    EXPECT_TRUE(same_bits(with[i], plain[i])) << "i=" << i;
-  EXPECT_EQ(mc.with_rows_refreshed(), n);  // cold call fills every row
-}
-
-TEST_F(MonteCarloWithFixture, PartialUpdateRefreshesOnlyChangedRows) {
-  const core::MonteCarloAnalyzer mc(*problem_, mc_options());
-  const std::size_t n = problem_->blocks().size();
-  std::vector<double> alphas(n), bs(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    alphas[j] = problem_->blocks()[j].alpha;
-    bs[j] = problem_->blocks()[j].b;
-  }
-  const std::vector<double> ts{4.0 * kYear, 8.0 * kYear};
-  (void)mc.failure_probabilities_with(ts, alphas, bs);
-  alphas[2] *= 0.8;
-  bs[4] *= 1.05;
-  const std::vector<double> evolved =
-      mc.failure_probabilities_with(ts, alphas, bs);
-  EXPECT_EQ(mc.with_rows_refreshed(), 2u);
-
-  // A cold analyzer (identical options -> identical chips) building its
-  // context from scratch at the evolved parameters agrees bit for bit.
-  const core::MonteCarloAnalyzer cold(*problem_, mc_options());
-  const std::vector<double> scratch =
-      cold.failure_probabilities_with(ts, alphas, bs);
-  for (std::size_t i = 0; i < evolved.size(); ++i)
-    EXPECT_TRUE(same_bits(evolved[i], scratch[i])) << "i=" << i;
-}
-
-TEST_F(MonteCarloWithFixture, RandomUpdateWalkStaysBitIdenticalToCold) {
-  GlobalsGuard guard;
-  const std::size_t n = problem_->blocks().size();
-  const std::vector<double> ts{6.0 * kYear, 10.0 * kYear};
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{7}}) {
-    par::set_threads(threads);
-    const core::MonteCarloAnalyzer mc(*problem_, mc_options());
-    std::vector<double> alphas(n), bs(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      alphas[j] = problem_->blocks()[j].alpha;
-      bs[j] = problem_->blocks()[j].b;
-    }
-    stats::Rng rng(100 + threads);
-    for (int step = 0; step < 6; ++step) {
-      const std::size_t j = rng.below(n);
-      alphas[j] *= rng.uniform(0.7, 1.4);
-      bs[j] = std::clamp(bs[j] * rng.uniform(0.95, 1.05), 0.31, 0.99);
-      const std::vector<double> evolved =
-          mc.failure_probabilities_with(ts, alphas, bs);
-      const core::MonteCarloAnalyzer cold(*problem_, mc_options());
-      const std::vector<double> scratch =
-          cold.failure_probabilities_with(ts, alphas, bs);
-      for (std::size_t i = 0; i < evolved.size(); ++i)
-        ASSERT_TRUE(same_bits(evolved[i], scratch[i]))
-            << "step " << step << " threads " << threads << " i " << i;
-    }
-  }
-}
-
-TEST_F(MonteCarloWithFixture, ValidatesInputs) {
-  const core::MonteCarloAnalyzer mc(*problem_, mc_options());
-  const std::size_t n = problem_->blocks().size();
-  std::vector<double> alphas(n, 1.0e14), bs(n, 0.5);
-  const std::vector<double> ts{kYear};
-  const std::vector<double> ts_bad{-kYear};
-  const std::vector<double> short_alphas(n - 1, 1.0e14);
-  EXPECT_THROW((void)mc.failure_probabilities_with(ts, short_alphas, bs),
-               Error);
-  alphas[1] = 0.0;
-  EXPECT_THROW((void)mc.failure_probabilities_with(ts, alphas, bs), Error);
-  alphas[1] = 1.0e14;
-  EXPECT_THROW((void)mc.failure_probabilities_with(ts_bad, alphas, bs),
-               Error);
 }
 
 // ------------------------------------------------------------------------
