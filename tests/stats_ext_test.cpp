@@ -1,6 +1,5 @@
-// Tests for the statistics extensions: goodness-of-fit (KS / AD),
-// Lognormal, Latin-hypercube sampling, and the three-moment quadratic-form
-// approximation.
+// Tests for the statistics extensions: Lognormal, Latin-hypercube
+// sampling, and the three-moment quadratic-form approximation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +7,6 @@
 #include "common/error.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/distributions.hpp"
-#include "stats/goodness.hpp"
 #include "stats/quadform.hpp"
 #include "stats/sampling.hpp"
 #include "stats/special.hpp"
@@ -21,62 +19,6 @@ la::Matrix diag(std::initializer_list<double> values) {
   std::size_t i = 0;
   for (double v : values) m(i, i) = v, ++i;
   return m;
-}
-
-TEST(KsStatistic, SmallForMatchingDistribution) {
-  Rng rng(1);
-  const Normal n(0.0, 1.0);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) xs.push_back(n.sample(rng));
-  const double d = ks_statistic(xs, [&](double x) { return n.cdf(x); });
-  // Expected D ~ 1/sqrt(n) ~ 0.014; the null should not be rejected.
-  EXPECT_LT(d, 0.03);
-  EXPECT_GT(ks_p_value(d, xs.size()), 0.01);
-}
-
-TEST(KsStatistic, LargeForWrongDistribution) {
-  Rng rng(2);
-  const Normal truth(0.0, 1.0);
-  const Normal wrong(0.5, 1.0);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) xs.push_back(truth.sample(rng));
-  const double d = ks_statistic(xs, [&](double x) { return wrong.cdf(x); });
-  EXPECT_GT(d, 0.15);
-  EXPECT_LT(ks_p_value(d, xs.size()), 1e-6);
-}
-
-TEST(KsStatistic, ExactForDegenerateCases) {
-  // One sample at the median: D = 0.5.
-  const double d = ks_statistic({0.0}, [](double x) {
-    return x < 0.0 ? 0.25 : 0.5;
-  });
-  EXPECT_DOUBLE_EQ(d, 0.5);
-  EXPECT_THROW(ks_statistic({}, [](double) { return 0.5; }), obd::Error);
-}
-
-TEST(KsPValue, MonotoneInStatistic) {
-  double prev = 1.1;
-  for (double d = 0.01; d < 0.2; d += 0.01) {
-    const double p = ks_p_value(d, 1000);
-    EXPECT_LT(p, prev);
-    prev = p;
-  }
-}
-
-TEST(AndersonDarling, DiscriminatesTails) {
-  Rng rng(3);
-  const Normal n(0.0, 1.0);
-  std::vector<double> xs;
-  for (int i = 0; i < 4000; ++i) xs.push_back(n.sample(rng));
-  const double good =
-      anderson_darling_statistic(xs, [&](double x) { return n.cdf(x); });
-  // Critical value for 5% significance is ~2.5; matching data stays below.
-  EXPECT_LT(good, 2.5);
-  // A distribution wrong in the tails scores far higher.
-  const Normal narrow(0.0, 0.8);
-  const double bad = anderson_darling_statistic(
-      xs, [&](double x) { return narrow.cdf(x); });
-  EXPECT_GT(bad, 10.0);
 }
 
 TEST(LognormalDist, MomentsRoundTrip) {
