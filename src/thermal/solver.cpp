@@ -8,7 +8,6 @@
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "common/parallel.hpp"
 
 namespace obd::thermal {
 namespace {
@@ -67,32 +66,23 @@ double sweep_lex(std::vector<double>& t, const std::vector<double>& cell_power,
   return residual;
 }
 
-// Red-black sweep: updates one checkerboard color at a time. Cells of one
-// color only read neighbors of the other color, so the row stripes of each
-// half-sweep are data-independent and run on the shared pool. The residual
-// is a max reduction, which is order-invariant, so the result is
-// bit-identical for any thread count (see parallel.hpp's determinism
-// contract).
+// Red-black sweep: updates one checkerboard color at a time on the
+// calling thread. Cells of one color only read neighbors of the other
+// color, so the order within a color does not change any cell's value.
+// The per-color rows are too small to pay for the shared pool: at the
+// pipeline's resolution 48, one pooled half-sweep costs several times the
+// serial one.
 double sweep_redblack(std::vector<double>& t,
                       const std::vector<double>& cell_power, std::size_t n,
                       double g_lat_x, double g_lat_y, double g_vert,
                       double omega) {
   double residual = 0.0;
-  for (std::size_t color = 0; color < 2; ++color) {
-    const double worst = par::parallel_reduce(
-        std::size_t{0}, n, std::size_t{8}, 0.0,
-        [&](std::size_t rb, std::size_t re) {
-          double local = 0.0;
-          for (std::size_t r = rb; r < re; ++r)
-            for (std::size_t c = (r + color) & 1; c < n; c += 2)
-              local = std::max(local, update_cell(t, cell_power, n, r, c,
+  for (std::size_t color = 0; color < 2; ++color)
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = (r + color) & 1; c < n; c += 2)
+        residual = std::max(residual, update_cell(t, cell_power, n, r, c,
                                                   g_lat_x, g_lat_y, g_vert,
                                                   omega));
-          return local;
-        },
-        [](double a, double b) { return std::max(a, b); });
-    residual = std::max(residual, worst);
-  }
   return residual;
 }
 

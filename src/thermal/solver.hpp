@@ -22,11 +22,11 @@ namespace obd::thermal {
 ///
 /// kLexicographic is the historical row-major Gauss-Seidel order and the
 /// default; its results are pinned by the regression suite. kRedBlack
-/// updates the two checkerboard colors in turn; within a color no cell
-/// reads another cell of the same color, so the rows of each half-sweep
-/// run concurrently on the shared pool (par::parallel_reduce) and the
-/// result is thread-invariant (the residual is a max, which is
-/// order-independent). The two orders converge to the same fixed point of
+/// updates the two checkerboard colors in turn on the calling thread;
+/// within a color no cell reads another cell of the same color, so the
+/// visit order inside a color does not change any value. It takes
+/// fewer, cheaper sweeps than kLexicographic. The two orders converge to
+/// the same fixed point of
 /// the SPD system within `tolerance` but follow different iterate paths,
 /// so converged fields agree to solver tolerance, not bit-for-bit.
 enum class SweepOrder { kLexicographic, kRedBlack };
