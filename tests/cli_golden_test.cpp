@@ -174,7 +174,7 @@ class CliGoldenTest : public ::testing::Test {
 TEST_F(CliGoldenTest, DefaultConfigOutputsMatchDigests) {
   check("design c1\ngrid 8\nmc_chips 16\nsimd scalar\n",
         {{"thermal", "ed616f25c08d2c43"},
-         {"analyze", "bea90759129c15a4"},
+         {"analyze", "1498f64bd0361e14"},
          {"report", "4bd2c67025f94c8a"},
          {"lut build", "58a0c6761b2dc490"},
          {"lut query", "1c1c39b0ce84659c"},
@@ -193,7 +193,7 @@ TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
         "mechanisms oxide,nbti,em\ndevice_sampling per_device\nmc_chips 16\n"
         "simd scalar\n",
         {{"thermal", "0278b14918686187"},
-         {"analyze", "814b11315807f8da"},
+         {"analyze", "6bf313f802477341"},
          {"report", "9c14c639abd10af2"},
          {"lut build", "6b06965ec8237b9d"},
          {"lut query", "f28ea3576e219d5e"},

@@ -336,21 +336,21 @@ TEST_F(MechFixture, GoldenFailureDigestsOnEveryEntryPoint) {
   } stacks[] = {
       {"oxide",
        oxide_,
-       {0x829716d06ac3d395ull, 0x94ffb794915623c7ull, 0x7669e885031ccc5aull,
+       {0x829716d06ac3d395ull, 0xcb8864e8f30e0e17ull, 0x7669e885031ccc5aull,
         0x8c0c2b419c05cd8cull, 0x2d9d42662200e147ull, 0x9393efc7aa6def47ull,
-        0x34d80b647436180aull, 0xe4b8a654f16df7eaull, 0xba8b8891fb5864c9ull,
+        0x34d80b647436180aull, 0xe4b8a654f16df7eaull, 0x75391922374139aeull,
         0x9f56dd673cf32e41ull}},
       {"oxide+nbti+em",
        &series,
-       {0x3bd40250ad8ed757ull, 0x50367bf697c87b7cull, 0x3a32c55545794eb3ull,
+       {0x3bd40250ad8ed757ull, 0x2a7eb4800e802eccull, 0x3a32c55545794eb3ull,
         0x9cc30f13a26ab8e4ull, 0xda46a05d26e14cb7ull, 0xf63069c826b62077ull,
-        0xa96e49adf00485c6ull, 0x7ae724d9c94dd38aull, 0xf58e5c37a0c27e88ull,
+        0xa96e49adf00485c6ull, 0x7ae724d9c94dd38aull, 0x945a8e7e9ac6b25aull,
         0x714deb5154dfcfa5ull}},
       {"oxide+hci+spare",
        &spare,
-       {0xe1813c751d182817ull, 0xdbba3f169b5c0b43ull, 0xcf9d98b60c7fdadaull,
+       {0xe1813c751d182817ull, 0x300bce55c77a2abfull, 0xcf9d98b60c7fdadaull,
         0x8a5696f856a73606ull, 0x9cdd7c5f926c1f67ull, 0xe9fcf5cc01816f43ull,
-        0xa716ca9195bc5ff9ull, 0x17f07cc020c32e0cull, 0x2509064d973ffa1cull,
+        0xa716ca9195bc5ff9ull, 0x17f07cc020c32e0cull, 0x780218c129a7667aull,
         0x704ac6aae6ed40c4ull}},
   };
 
