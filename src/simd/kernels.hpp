@@ -169,6 +169,20 @@ const KernelTable& kernels();
 
 namespace detail {
 extern const KernelTable kScalarKernels;
+// The scalar table's hybrid_row runs one template body in two builds: at
+// the baseline ISA, where std::fma and std::nearbyint are libm calls, and
+// with FMA and SSE4.1 enabled, where they are single instructions. Both
+// give the same bits. The table picks hybrid_row_fma when
+// hybrid_row_has_fma_build(); elsewhere (no FMA, or not x86-64 GCC/Clang)
+// hybrid_row_fma runs the baseline build.
+void hybrid_row_baseline(const double* u, const double* v, const double* w,
+                         std::size_t n_nodes, double gamma, double b_lo,
+                         double d_b, double area, std::size_t n_b,
+                         double* out);
+void hybrid_row_fma(const double* u, const double* v, const double* w,
+                    std::size_t n_nodes, double gamma, double b_lo,
+                    double d_b, double area, std::size_t n_b, double* out);
+bool hybrid_row_has_fma_build();
 // Aliases kScalarKernels when kernels_avx2.cpp is built without the ISA,
 // so taking the symbol is always safe; dispatch never selects a level the
 // CPU cannot run.
