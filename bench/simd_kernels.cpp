@@ -9,8 +9,8 @@
 //   matmul (GEMM)     bit-identical
 //   gram_aat (SYRK)   bit-identical
 //   clenshaw_batch    bit-identical (FNV checksum equality)
-//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect, hybrid_row
-//                     bit-identical (FNV checksum equality)
+//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect, hybrid_row,
+//   box_muller        bit-identical (FNV checksum equality)
 //
 // On top of the exactness gates, each lap gates the tier that "auto"
 // dispatch serves for the kernel (simd::kernel_level, the AVX2 table
@@ -399,6 +399,26 @@ int main() {
       },
       avx2);
 
+  // ------------------------------------------------------- box_muller ----
+  // Rng::fill_normal's uniform pairs, 4096 per call.
+  const std::size_t bm_n = 4096;
+  std::vector<double> bm_u1(bm_n), bm_u2(bm_n);
+  for (std::size_t p = 0; p < bm_n; ++p) {
+    bm_u1[p] = rng.uniform_positive();
+    bm_u2[p] = rng.uniform();
+  }
+  Lap boxm = bitwise_lap(
+      "box_muller", "n=" + std::to_string(bm_n) + " pairs x 2000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(2 * bm_n);
+        for (std::size_t r = 0; r < batch(2000); ++r) {
+          t.box_muller(bm_u1.data(), bm_u2.data(), bm_n, out.data());
+          g_sink = out[0];
+        }
+        return out;
+      },
+      avx2);
+
   // Per-kernel auto-tier gates against this run's own timings.
   std::printf("\n");
   simd::configure("auto");
@@ -413,11 +433,12 @@ int main() {
   gate_auto("tred2_rank2", rank2, simd::KernelId::kTred2Rank2, avx2);
   gate_auto("tred2_reflect", reflect, simd::KernelId::kTred2Reflect, avx2);
   gate_auto("hybrid_row", hrow, simd::KernelId::kHybridRow, avx2);
+  gate_auto("box_muller", boxm, simd::KernelId::kBoxMuller, avx2);
 
   bool pass = true;
   for (const Lap* lap :
        {&fill, &dot, &cdf, &gemm, &gram, &clen, &rotate, &symv, &rank2,
-        &reflect, &hrow})
+        &reflect, &hrow, &boxm})
     pass = pass && lap->pass && lap->auto_pass;
   std::printf("\nexactness + auto-tier gates %s\n", pass ? "PASS" : "FAIL");
 
@@ -451,7 +472,8 @@ int main() {
   emit("tred2_symv", symv);
   emit("tred2_rank2", rank2);
   emit("tred2_reflect", reflect);
-  emit("hybrid_row", hrow, true);
+  emit("hybrid_row", hrow);
+  emit("box_muller", boxm, true);
   out << "}\n";
   std::printf("(wrote %s)\n", path.c_str());
   return pass ? 0 : 1;

@@ -123,18 +123,23 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
   //       y_i^2),                                     beta = 2 U^T C^T W d,
   // with r the residual normal. The spread is taken around the correlated
   // block mean, as in BlodMoments::v_value, so the residual-mean draw
-  // enters u only. Each sample draws its keep normals, then r.
+  // enters u only. Each sample draws its keep normals, then r, with one
+  // Rng::fill_normal call.
   const std::size_t n_blocks = blocks.size();
   std::vector<std::vector<double>> u_samples(n_blocks);
   std::vector<std::vector<double>> v_samples(n_blocks);
   // Reserved before any block's set-up, so each block's temporaries reuse
   // one stretch of heap instead of leaving holes between sample buffers
   // (EV6 sign-off with 20k samples: peak RSS 19.2 MiB when reserving per
-  // block, 17.8 MiB here).
+  // block, 17.8 MiB here). The normals buffer holds a sample's keep + 1
+  // normals for any block, as keep never exceeds the block's cell count.
+  std::size_t max_cells = 0;
   for (std::size_t j = 0; j < n_blocks; ++j) {
     u_samples[j].reserve(options.samples);
     v_samples[j].reserve(options.samples);
+    max_cells = std::max(max_cells, layout.weights[j].size());
   }
+  std::vector<double> normals(max_cells + 1);
 
   const std::size_t pc = canonical.pc_count();
   for (std::size_t j = 0; j < n_blocks; ++j) {
@@ -209,18 +214,23 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
       lhs = stats::latin_hypercube_normal(options.samples, keep, rng);
 
     for (std::size_t s = 0; s < options.samples; ++s) {
+      const double* y = normals.data();
+      if (options.latin_hypercube) {
+        y = lhs.data() + s * keep;
+        rng.fill_normal(normals.data() + keep, 1);
+      } else {
+        rng.fill_normal(normals.data(), keep + 1);
+      }
       double lin_u = 0.0;
       double lin_v = 0.0;
       double quad = 0.0;
       for (std::size_t i = 0; i < keep; ++i) {
-        const double y =
-            options.latin_hypercube ? lhs[s * keep + i] : rng.normal();
-        lin_u += alpha[i] * y;
-        lin_v += beta[i] * y;
-        quad += lambda_q[i] * y * y;
+        lin_u += alpha[i] * y[i];
+        lin_v += beta[i] * y[i];
+        quad += lambda_q[i] * y[i] * y[i];
       }
       // Residual-mean term of eq. 22 (O(1/sqrt(m_j)), kept for fidelity).
-      us.push_back(u_const + lin_u + residual_scale * rng.normal());
+      us.push_back(u_const + lin_u + residual_scale * normals[keep]);
       vs.push_back(sr * sr +
                    spread_scale *
                        std::max(0.0, spread_const + lin_v + quad));

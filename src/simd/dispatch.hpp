@@ -37,6 +37,7 @@ enum class KernelId {
   kTred2Rank2,
   kTred2Reflect,
   kHybridRow,
+  kBoxMuller,
 };
 
 /// "scalar" or "avx2".

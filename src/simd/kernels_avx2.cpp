@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "simd/box_muller.hpp"
 #include "simd/hybrid_row.hpp"
 #include "simd/kernels.hpp"
 
@@ -154,8 +155,9 @@ inline __m256d horner(const double (&cs)[N], __m256d x) {
   return acc;
 }
 
-// hybrid_row.hpp's operations on four lanes (see ScalarOps in
-// kernels_scalar.cpp for the one-lane twin they match bit for bit).
+// hybrid_row.hpp's and box_muller.hpp's operations on four lanes (see
+// ScalarOps in kernels_scalar.cpp for the one-lane twin they match bit for
+// bit).
 // scale_pow2 is also exp_nonpos's 2^n scaling.
 struct Avx2Ops {
   using V = __m256d;
@@ -194,6 +196,32 @@ struct Avx2Ops {
   static bool any(M m) { return _mm256_movemask_pd(m) != 0; }
   static bool all(M m) { return _mm256_movemask_pd(m) == 0xf; }
   static void store(double* out, V a) { _mm256_storeu_pd(out, a); }
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
+  static V div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V sqrt(V a) { return _mm256_sqrt_pd(a); }
+  // The field is below 2^52, so or-ing it into 2^52's mantissa and
+  // subtracting 2^52 converts it exactly (AVX2 has no int64 conversion).
+  static V exponent(V a) {
+    const __m256i field =
+        _mm256_and_si256(_mm256_srli_epi64(_mm256_castpd_si256(a), 52),
+                         _mm256_set1_epi64x(0x7ff));
+    return _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(
+            field, _mm256_set1_epi64x(0x4330000000000000LL))),
+        _mm256_set1_pd(0x1p52 + 1023.0));
+  }
+  static V mantissa(V a) {
+    return _mm256_or_pd(
+        _mm256_and_pd(a, _mm256_castsi256_pd(_mm256_set1_epi64x(
+                             static_cast<long long>(0x800fffffffffffffull)))),
+        _mm256_set1_pd(1.0));
+  }
+  static void store_pairs(double* out, V a, V b) {
+    const __m256d lo = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+    const __m256d hi = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+    _mm256_storeu_pd(out, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(out + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+  }
 };
 
 // exp(t) for t <= 0, graceful underflow to 0 below ~-745 (the 2^n scaling
@@ -462,6 +490,11 @@ void hybrid_row_avx2(const double* u, const double* v, const double* w,
                                  out);
 }
 
+void box_muller_avx2(const double* u1, const double* u2, std::size_t n,
+                     double* out) {
+  detail::box_muller<Avx2Ops>(u1, u2, n, out);
+}
+
 void tql2_rotate_avx2(double* x, double* y, double c, double s,
                       std::size_t n) {
   const __m256d vc = _mm256_set1_pd(c);
@@ -591,6 +624,7 @@ const KernelTable kAvx2Kernels = {
     matmul_avx2,           matvec_avx2,      gram_aat_avx2,
     clenshaw_batch_avx2,   tql2_rotate_avx2, tred2_symv_avx2,
     tred2_rank2_avx2,      tred2_reflect_avx2, hybrid_row_avx2,
+    box_muller_avx2,
 };
 
 }  // namespace detail

@@ -4,11 +4,12 @@
 // inner loop it replaced (montecarlo.cpp's dot_counts/fill_bin_factors,
 // matrix.cpp's matmul/multiply/gram_aat, stats::normal_cdf, eigen.cpp's
 // tred2/tql2 loops), so forcing
-// OBDREL_SIMD=scalar reproduces pre-SIMD results exactly. hybrid_row is
-// the exception: it replaced libm's exp/expm1 with the portable ones of
-// hybrid_row.hpp, and its scalar variant runs them one lane at a time, in
-// a baseline build and in an FMA build that the table serves where the
-// CPU has FMA (the one function here compiled above the baseline ISA).
+// OBDREL_SIMD=scalar reproduces pre-SIMD results exactly. hybrid_row and
+// box_muller are the exceptions: they replaced libm's exp/expm1 and
+// log/sin/cos with the portable ones of hybrid_row.hpp and box_muller.hpp,
+// and their scalar variants run them one lane at a time, in a baseline
+// build and in an FMA build that the table serves where the CPU has FMA
+// (the two functions here compiled above the baseline ISA).
 
 #include <bit>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "simd/box_muller.hpp"
 #include "simd/hybrid_row.hpp"
 #include "simd/kernels.hpp"
 
@@ -222,18 +224,44 @@ struct ScalarOps {
   static bool any(M m) { return m; }
   static bool all(M m) { return m; }
   static void store(double* out, V a) { *out = a; }
+  static V load(const double* p) { return *p; }
+  static V div(V a, V b) { return a / b; }
+  static V sqrt(V a) { return std::sqrt(a); }
+  static V exponent(V a) {
+    return static_cast<double>(
+        static_cast<std::int64_t>((std::bit_cast<std::uint64_t>(a) >> 52) &
+                                  0x7ff) -
+        1023);
+  }
+  static V mantissa(V a) {
+    return std::bit_cast<double>(
+        (std::bit_cast<std::uint64_t>(a) & 0x800fffffffffffffull) |
+        0x3ff0000000000000ull);
+  }
+  static void store_pairs(double* out, V a, V b) {
+    out[0] = a;
+    out[1] = b;
+  }
 };
 
-// The scalar table's hybrid_row: the FMA build where the CPU has one,
-// else the baseline build, chosen once.
+// The scalar table's hybrid_row and box_muller: the FMA build where the
+// CPU has one, else the baseline build, chosen once.
 void hybrid_row_scalar(const double* u, const double* v, const double* w,
                        std::size_t n_nodes, double gamma, double b_lo,
                        double d_b, double area, std::size_t n_b,
                        double* out) {
-  static const auto build =
-      detail::hybrid_row_has_fma_build() ? detail::hybrid_row_fma
-                                         : detail::hybrid_row_baseline;
+  static const auto build = detail::has_fma_build()
+                                ? detail::hybrid_row_fma
+                                : detail::hybrid_row_baseline;
   build(u, v, w, n_nodes, gamma, b_lo, d_b, area, n_b, out);
+}
+
+void box_muller_scalar(const double* u1, const double* u2, std::size_t n,
+                       double* out) {
+  static const auto build = detail::has_fma_build()
+                                ? detail::box_muller_fma
+                                : detail::box_muller_baseline;
+  build(u1, u2, n, out);
 }
 
 }  // namespace
@@ -246,6 +274,11 @@ void hybrid_row_baseline(const double* u, const double* v, const double* w,
                          double* out) {
   hybrid_row<ScalarOps, 1>(u, v, w, n_nodes, gamma, b_lo, d_b, area, n_b,
                            out);
+}
+
+void box_muller_baseline(const double* u1, const double* u2, std::size_t n,
+                         double* out) {
+  box_muller<ScalarOps>(u1, u2, n, out);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -261,7 +294,12 @@ void hybrid_row_baseline(const double* u, const double* v, const double* w,
                            out);
 }
 
-bool hybrid_row_has_fma_build() {
+[[gnu::target("fma,sse4.1"), gnu::flatten]] void box_muller_fma(
+    const double* u1, const double* u2, std::size_t n, double* out) {
+  box_muller<ScalarOps>(u1, u2, n, out);
+}
+
+bool has_fma_build() {
   return __builtin_cpu_supports("fma") && __builtin_cpu_supports("sse4.1");
 }
 #else
@@ -271,7 +309,12 @@ void hybrid_row_fma(const double* u, const double* v, const double* w,
   hybrid_row_baseline(u, v, w, n_nodes, gamma, b_lo, d_b, area, n_b, out);
 }
 
-bool hybrid_row_has_fma_build() { return false; }
+void box_muller_fma(const double* u1, const double* u2, std::size_t n,
+                    double* out) {
+  box_muller_baseline(u1, u2, n, out);
+}
+
+bool has_fma_build() { return false; }
 #endif
 
 const KernelTable kScalarKernels = {
@@ -279,6 +322,7 @@ const KernelTable kScalarKernels = {
     matmul_scalar,           matvec_scalar,      gram_aat_scalar,
     clenshaw_batch_scalar,   tql2_rotate_scalar, tred2_symv_scalar,
     tred2_rank2_scalar,      tred2_reflect_scalar, hybrid_row_scalar,
+    box_muller_scalar,
 };
 
 }  // namespace detail

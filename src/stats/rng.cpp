@@ -1,6 +1,9 @@
 #include "stats/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "simd/kernels.hpp"
 
 namespace obd::stats {
 namespace {
@@ -61,6 +64,38 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
+void Rng::fill_normal(double* out, std::size_t n) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    out[i++] = cached_normal_;
+    has_cached_normal_ = false;
+  }
+  // Pairs per kernel call. A chunk ending in an odd normal goes through
+  // a buffer so its last sin half can be cached.
+  constexpr std::size_t kChunk = 64;
+  double u1[kChunk];
+  double u2[kChunk];
+  double odd[2 * kChunk];
+  const simd::KernelTable& kernels = simd::kernels();
+  while (i < n) {
+    const std::size_t pairs = std::min(kChunk, (n - i + 1) / 2);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      u1[p] = uniform_positive();
+      u2[p] = uniform();
+    }
+    if (2 * pairs <= n - i) {
+      kernels.box_muller(u1, u2, pairs, out + i);
+      i += 2 * pairs;
+    } else {
+      kernels.box_muller(u1, u2, pairs, odd);
+      std::copy_n(odd, 2 * pairs - 1, out + i);
+      i = n;
+      cached_normal_ = odd[2 * pairs - 1];
+      has_cached_normal_ = true;
+    }
+  }
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
@@ -68,8 +103,9 @@ double Rng::normal(double mean, double stddev) {
 double Rng::exponential() { return -std::log(uniform_positive()); }
 
 std::uint64_t Rng::below(std::uint64_t n) {
-  // Lemire's nearly-divisionless bounded generation; bias is negligible for
-  // the bounds used here (n << 2^64) but we keep the rejection loop anyway.
+  // Rejection below threshold = 2^64 mod n, then modulo: the accepted
+  // range [threshold, 2^64) holds a whole number of copies of [0, n), so
+  // the result is exactly uniform.
   if (n == 0) return 0;
   const std::uint64_t threshold = (~n + 1) % n;
   for (;;) {

@@ -8,6 +8,7 @@
 // draws close to a billion variates per run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace obd::stats {
@@ -35,8 +36,20 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Standard normal variate (Box–Muller with caching; exact, branch-light).
+  /// Standard normal variate by Box–Muller with libm: per pair, u1 =
+  /// uniform_positive() then u2 = uniform(), r = sqrt(-2 log u1) and
+  /// theta = (2 pi) u2; returns r cos(theta) and caches r sin(theta) for
+  /// the next normal drawn.
   double normal();
+
+  /// Fills out[0, n) with the normals that n calls of normal() would
+  /// return: the same uniforms in the same order and pairing, cos before
+  /// sin, and the cached half carried in and out (odd n leaves a sin
+  /// cached, so fill_normal and normal() may be mixed freely). The
+  /// transform is simd::KernelTable::box_muller, whose portable log and
+  /// sin/cos put each normal within 8 ULP of normal()'s, with the same
+  /// bits at every SIMD level.
+  void fill_normal(double* out, std::size_t n);
 
   /// Normal variate with the given mean and standard deviation.
   double normal(double mean, double stddev);
@@ -44,7 +57,7 @@ class Rng {
   /// Standard exponential variate (rate 1).
   double exponential();
 
-  /// Uniform integer in [0, n).
+  /// Uniform integer in [0, n), unbiased (0 for n = 0).
   std::uint64_t below(std::uint64_t n);
 
   /// Returns an independent generator stream (jump via reseeding with the

@@ -37,6 +37,7 @@
 #include "stats/rng.hpp"
 #include "stats/special.hpp"
 #include "surrogate/surrogate.hpp"
+#include "ulp.hpp"
 
 namespace obd {
 namespace {
@@ -492,18 +493,6 @@ std::vector<std::vector<double>> saved_tables(
   return tables;
 }
 
-// Distance in units in the last place between two finite doubles.
-std::uint64_t ulp_distance(double a, double b) {
-  const auto ordered = [](double d) {
-    const auto i = std::bit_cast<std::int64_t>(d);
-    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
-  };
-  const std::int64_t ia = ordered(a);
-  const std::int64_t ib = ordered(b);
-  return ia > ib ? static_cast<std::uint64_t>(ia - ib)
-                 : static_cast<std::uint64_t>(ib - ia);
-}
-
 // Largest ULP distance of any of `problem`'s hybrid table entries from
 // the libm loop, on tables of F itself (log_space off). Default tables
 // store log(F) and must be exactly the floored log of those entries:
@@ -525,7 +514,8 @@ std::uint64_t max_fill_ulps(const ReliabilityProblem& problem) {
     EXPECT_EQ(raw[j].size(), want.size());
     EXPECT_EQ(logs[j].size(), want.size());
     for (std::size_t i = 0; i < want.size() && i < raw[j].size(); ++i) {
-      worst = std::max(worst, ulp_distance(raw[j][i], want[i]));
+      worst =
+          std::max(worst, testing_ulp::ulp_distance(raw[j][i], want[i]));
       const double f = raw[j][i];
       const double log_f =
           f > 0.0 ? std::max(kLogFloor, std::log(f)) : kLogFloor;

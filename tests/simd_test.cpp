@@ -29,6 +29,7 @@
 #include "stats/special.hpp"
 #include "thermal/solver.hpp"
 #include "variation/model.hpp"
+#include "ulp.hpp"
 
 namespace obd {
 namespace {
@@ -664,10 +665,110 @@ TEST_P(SimdKernelPair, HybridRowBitIdenticalAcrossLevels) {
 // this keeps the baseline build, which hosts without FMA run, pinned to
 // it bit for bit.
 TEST(ScalarHybridRow, FmaBuildBitIdenticalToBaselineBuild) {
-  if (!simd::detail::hybrid_row_has_fma_build())
+  if (!simd::detail::has_fma_build())
     GTEST_SKIP() << "no FMA build of hybrid_row on this host/build";
   expect_hybrid_rows_agree(simd::detail::hybrid_row_baseline,
                            simd::detail::hybrid_row_fma);
+}
+
+// ------------------------------------------------------------------------
+// box_muller
+
+// Uniform pairs that stress the transform: u1 = 1 (log exactly 0) and
+// u1 = 2^-53 (the smallest uniform_positive()), and u2 at 0 and on both
+// sides of the zeros of cos and sin (theta near pi/2, pi and 3 pi/2),
+// crossed with each other and with interior values.
+std::pair<std::vector<double>, std::vector<double>> box_muller_edge_pairs() {
+  std::vector<double> u1s = {1.0, 1.0 - 0x1p-53, 1.0 - 0x1p-40, 0.5,
+                             0.1, 1e-5,          0x1p-52,       0x1p-53};
+  std::vector<double> u2s = {0.0, 0x1p-53, 0x1p-20, 0.125, 1.0 - 0x1p-53};
+  for (const double at : {0.25, 0.5, 0.75})
+    for (int k = -4; k <= 4; ++k) u2s.push_back(at + k * 0x1p-53);
+  for (const double at : {0.25, 0.5, 0.75})
+    for (const double d : {-1e-9, 1e-9, -1e-4, 1e-4}) u2s.push_back(at + d);
+  std::vector<double> u1;
+  std::vector<double> u2;
+  for (const double a : u1s)
+    for (const double b : u2s) {
+      u1.push_back(a);
+      u2.push_back(b);
+    }
+  return {u1, u2};
+}
+
+using BoxMullerFn = decltype(simd::KernelTable::box_muller);
+
+std::vector<double> run_box_muller(BoxMullerFn fn, const std::vector<double>& u1,
+                                   const std::vector<double>& u2,
+                                   std::size_t n) {
+  std::vector<double> out(2 * n + 3, -1.0);
+  fn(u1.data(), u2.data(), n, out.data());
+  // Nothing past the 2n outputs is written.
+  for (std::size_t i = 2 * n; i < out.size(); ++i) EXPECT_EQ(out[i], -1.0);
+  out.resize(2 * n);
+  return out;
+}
+
+// Runs two box_muller implementations over the edge pairs at every length
+// up to 19 (every vector tail) and over 4096 random pairs, and requires
+// the same bits; `want_fn` is the reference.
+void expect_box_mullers_agree(BoxMullerFn want_fn, BoxMullerFn got_fn) {
+  const auto [e1, e2] = box_muller_edge_pairs();
+  for (std::size_t n = 0; n <= 19; ++n)
+    expect_same_bits(run_box_muller(got_fn, e1, e2, n),
+                     run_box_muller(want_fn, e1, e2, n),
+                     "n " + std::to_string(n));
+  expect_same_bits(run_box_muller(got_fn, e1, e2, e1.size()),
+                   run_box_muller(want_fn, e1, e2, e1.size()), "edges");
+  stats::Rng rng(241);
+  std::vector<double> u1(4096);
+  std::vector<double> u2(4096);
+  for (std::size_t p = 0; p < u1.size(); ++p) {
+    u1[p] = rng.uniform_positive();
+    u2[p] = rng.uniform();
+  }
+  expect_same_bits(run_box_muller(got_fn, u1, u2, u1.size()),
+                   run_box_muller(want_fn, u1, u2, u1.size()), "random");
+}
+
+TEST_P(SimdKernelPair, BoxMullerBitIdenticalAcrossLevels) {
+  expect_box_mullers_agree(s_.box_muller, v_.box_muller);
+}
+
+TEST(ScalarBoxMuller, FmaBuildBitIdenticalToBaselineBuild) {
+  if (!simd::detail::has_fma_build())
+    GTEST_SKIP() << "no FMA build of box_muller on this host/build";
+  expect_box_mullers_agree(simd::detail::box_muller_baseline,
+                           simd::detail::box_muller_fma);
+}
+
+// The error budget of box_muller at the active level: every normal within
+// 8 ULP of Rng::normal()'s libm transform of the same uniforms, over the
+// edge pairs and 2^20 random pairs.
+TEST(BoxMuller, WithinEightUlpOfLibmTransform) {
+  constexpr std::uint64_t kBudgetUlps = 8;
+  auto [u1, u2] = box_muller_edge_pairs();
+  stats::Rng rng(251);
+  for (std::size_t p = 0; p < (std::size_t{1} << 20); ++p) {
+    u1.push_back(rng.uniform_positive());
+    u2.push_back(rng.uniform());
+  }
+  std::vector<double> got(2 * u1.size());
+  simd::kernels().box_muller(u1.data(), u2.data(), u1.size(), got.data());
+  std::uint64_t worst = 0;
+  for (std::size_t p = 0; p < u1.size(); ++p) {
+    const double r = std::sqrt(-2.0 * std::log(u1[p]));
+    const double theta = 2.0 * M_PI * u2[p];
+    const double want[2] = {r * std::cos(theta), r * std::sin(theta)};
+    for (std::size_t h = 0; h < 2; ++h) {
+      const std::uint64_t ulps = testing_ulp::ulp_distance(got[2 * p + h], want[h]);
+      worst = std::max(worst, ulps);
+      ASSERT_LE(ulps, kBudgetUlps)
+          << "u1 " << u1[p] << " u2 " << u2[p] << (h == 0 ? " cos" : " sin")
+          << ": " << got[2 * p + h] << " vs " << want[h];
+    }
+  }
+  RecordProperty("worst_ulps", static_cast<int>(worst));
 }
 
 // ------------------------------------------------------------------------
@@ -678,7 +779,7 @@ TEST(SimdDispatch, AutoServesTheWidestTableAndForcedLevelsTheirOwn) {
   const auto expect_whole = [](simd::Level level,
                                const simd::KernelTable& table) {
     EXPECT_EQ(simd::active_level(), level);
-    for (int id = 0; id <= static_cast<int>(simd::KernelId::kHybridRow); ++id)
+    for (int id = 0; id <= static_cast<int>(simd::KernelId::kBoxMuller); ++id)
       EXPECT_EQ(simd::kernel_level(static_cast<simd::KernelId>(id)), level)
           << "kernel " << id;
     // Spot-check the table kernels() serves, first to last member.
@@ -687,6 +788,7 @@ TEST(SimdDispatch, AutoServesTheWidestTableAndForcedLevelsTheirOwn) {
     EXPECT_EQ(simd::kernels().matmul, table.matmul);
     EXPECT_EQ(simd::kernels().tred2_reflect, table.tred2_reflect);
     EXPECT_EQ(simd::kernels().hybrid_row, table.hybrid_row);
+    EXPECT_EQ(simd::kernels().box_muller, table.box_muller);
   };
   simd::configure("auto");
   if (simd::can_use_avx2()) {

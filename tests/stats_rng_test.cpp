@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "simd/kernels.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
+#include "ulp.hpp"
 
 namespace obd::stats {
 namespace {
@@ -78,6 +84,72 @@ TEST(Rng, NormalWithMeanAndSigma) {
   for (int i = 0; i < 100000; ++i) s.add(rng.normal(2.2, 0.03));
   EXPECT_NEAR(s.mean(), 2.2, 0.001);
   EXPECT_NEAR(s.stddev(), 0.03, 0.001);
+}
+
+// fill_normal against n calls of normal() on a twin generator: every
+// normal within box_muller's 8-ULP budget of libm's, and both generators
+// left at the same raw state with the same cached half.
+void expect_fill_matches_normal_calls(Rng& filled, Rng& called,
+                                      std::size_t n) {
+  std::vector<double> out(n);
+  filled.fill_normal(out.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = called.normal();
+    EXPECT_LE(testing_ulp::ulp_distance(out[i], want), 8u)
+        << "n " << n << " normal " << i << ": " << out[i] << " vs " << want;
+  }
+}
+
+void expect_same_state(Rng& a, Rng& b, const std::string& what) {
+  EXPECT_LE(testing_ulp::ulp_distance(a.normal(), b.normal()), 8u) << what;
+  EXPECT_EQ(a(), b()) << what;
+}
+
+TEST(Rng, FillNormalMatchesNormalCallsForOddAndEvenN) {
+  for (const std::size_t n :
+       {0, 1, 2, 3, 4, 7, 8, 9, 47, 48, 127, 128, 129, 130, 300}) {
+    Rng filled(61);
+    Rng called(61);
+    expect_fill_matches_normal_calls(filled, called, n);
+    expect_same_state(filled, called, "n " + std::to_string(n));
+  }
+}
+
+TEST(Rng, FillNormalMixesWithNormal) {
+  Rng mixed(67);
+  Rng called(67);
+  for (const std::size_t n : {3, 0, 1, 1, 4, 5, 129, 2, 130, 7}) {
+    expect_fill_matches_normal_calls(mixed, called, n);
+    const double want = called.normal();
+    EXPECT_LE(testing_ulp::ulp_distance(mixed.normal(), want), 8u)
+        << "after n " << n;
+  }
+  expect_same_state(mixed, called, "end");
+}
+
+// The pairs are exactly box_muller's over normal()'s uniforms, cos first,
+// and an odd fill caches the last pair's sin bit for bit.
+TEST(Rng, FillNormalIsTheBoxMullerKernelOverNormalsUniforms) {
+  constexpr std::size_t kPairs = 70;
+  Rng uniforms(71);
+  double u1[kPairs];
+  double u2[kPairs];
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    u1[p] = uniforms.uniform_positive();
+    u2[p] = uniforms.uniform();
+  }
+  double want[2 * kPairs];
+  simd::kernels().box_muller(u1, u2, kPairs, want);
+
+  Rng filled(71);
+  double got[2 * kPairs];
+  filled.fill_normal(got, 2 * kPairs - 1);
+  got[2 * kPairs - 1] = filled.normal();
+  for (std::size_t i = 0; i < 2 * kPairs; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "normal " << i;
+  EXPECT_EQ(filled(), uniforms());
 }
 
 TEST(Rng, ExponentialMeanIsOne) {
