@@ -41,12 +41,13 @@ struct HybridOptions {
 class HybridEvaluator {
  public:
   /// Builds one lookup table per block. Construction cost is
-  /// O(N * n_gamma * n_b * l0^2): each entry is an l0^2-node sum, filled
-  /// one gamma row per call of the simd::KernelTable::hybrid_row kernel
-  /// with its portable exp/expm1 (the same bits at every SIMD level,
-  /// within 8 ULP of a libm fill), rows spread over the pool. On EV6
-  /// (15 blocks, 100 x 100, 256 nodes) that is about 0.15 s on one
-  /// AVX2 thread. Queries are O(N).
+  /// O(N * n_gamma * n_b * l0^2): each entry is an l0^2-node sum over the
+  /// tensor product of st_fast's u and v axes, filled one gamma row per
+  /// call of the simd::KernelTable::hybrid_row kernel with its portable
+  /// exp/expm1 (the same bits at every SIMD level; 2 * l0 exps and l0^2
+  /// expm1s per entry), rows spread over the pool. On EV6 (15 blocks,
+  /// 100 x 100, 256 nodes) that is about 0.04 s on one AVX2 thread.
+  /// Queries are O(N).
   explicit HybridEvaluator(const ReliabilityProblem& problem,
                            const HybridOptions& options = {});
 
@@ -94,15 +95,16 @@ class HybridEvaluator {
   /// Serializes the precomputed tables (text, versioned). Together with
   /// load() this is the Section IV-E deployment story: compute the tables
   /// once at sign-off, ship them to the "dynamic system for reliability
-  /// monitoring". Writes format version 2 ("obdrel-hybrid-lut 2"): tables
-  /// filled by the hybrid_row kernel.
+  /// monitoring". Writes format version 3 ("obdrel-hybrid-lut 3"): tables
+  /// filled by the tensor-product hybrid_row kernel.
   void save(std::ostream& out) const;
 
   /// Restores an evaluator from a stream produced by save(). `problem`
   /// must be the same design (block count and areas are checked). Reads
-  /// only version 2: a version-1 stream holds libm-filled tables, whose
-  /// last bits differ, and is refused with Error(kInvalidInput) naming
-  /// its version, so served replies never mix the two fills.
+  /// only version 3: a version-1 (libm) or version-2 (per-node portable
+  /// exp) stream holds tables whose last bits differ, and is refused with
+  /// Error(kInvalidInput) naming its version, so served replies never mix
+  /// two fills.
   static HybridEvaluator load(std::istream& in,
                               const ReliabilityProblem& problem);
 

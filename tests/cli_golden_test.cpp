@@ -176,11 +176,11 @@ TEST_F(CliGoldenTest, DefaultConfigOutputsMatchDigests) {
         {{"thermal", "ed616f25c08d2c43"},
          {"analyze", "1498f64bd0361e14"},
          {"report", "4bd2c67025f94c8a"},
-         {"lut build", "58a0c6761b2dc490"},
+         {"lut build", "c74733dd30e7a2c4"},
          {"lut query", "1c1c39b0ce84659c"},
-         {"drm run", "1cb6939b861f7662"},
+         {"drm run", "5301460e82d1f190"},
          {"fleet", "9e1a195fd2d07e4d"},
-         {"serve", "c3b8817b97ab8127"}},
+         {"serve", "661dcf940b95262b"}},
         "80674ac5a87a19c2",
         "5bd3b93f8ab97e7d.lut 6c8ea02597cc08d2.lut 98c53a2518110648.lut");
 }
@@ -195,11 +195,11 @@ TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
         {{"thermal", "0278b14918686187"},
          {"analyze", "6bf313f802477341"},
          {"report", "9c14c639abd10af2"},
-         {"lut build", "6b06965ec8237b9d"},
+         {"lut build", "468d35dad17945ac"},
          {"lut query", "f28ea3576e219d5e"},
-         {"drm run", "9c14a331ffddb18d"},
+         {"drm run", "29fd216c2487121f"},
          {"fleet", "d3eac0fd4ba976bc"},
-         {"serve", "a1e9c2e1da8e72f0"}},
+         {"serve", "423b0742da1f961a"}},
         "9e7540cb31b01bf1",
         "118f4ca0f6d09fc1.lut 8ed68bf06cbaa99a.lut f7720616e0914216.lut");
 }

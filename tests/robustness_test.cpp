@@ -305,8 +305,9 @@ TEST_F(LutTest, RejectsAbsurdTableDimensionsQuickly) {
       ErrorCode::kInvalidInput);
 }
 
-// Version-1 streams hold tables filled with libm's exp/expm1; this build
-// writes version 2 and refuses version 1 with a typed error naming it.
+// Version-1 streams hold tables filled with libm's exp/expm1 and
+// version-2 streams tables from the per-node portable exp; this build
+// writes version 3 and refuses both with a typed error naming the version.
 TEST_F(LutTest, RefusesVersionOneStreamNamingTheVersion) {
   core::HybridOptions hopts;
   hopts.n_gamma = 8;
@@ -314,18 +315,23 @@ TEST_F(LutTest, RefusesVersionOneStreamNamingTheVersion) {
   const core::HybridEvaluator ev(*problem_, hopts);
   std::ostringstream out;
   ev.save(out);
-  std::string text = out.str();
-  const std::string v2 = "obdrel-hybrid-lut 2\n";
-  ASSERT_EQ(text.rfind(v2, 0), 0u) << text.substr(0, 40);
-  text.replace(0, v2.size(), "obdrel-hybrid-lut 1\n");
-  std::istringstream in(text);
-  try {
-    (void)core::HybridEvaluator::load(in, *problem_);
-    FAIL() << "a version-1 stream loaded";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
-    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
-        << e.what();
+  const std::string v3 = "obdrel-hybrid-lut 3\n";
+  ASSERT_EQ(out.str().rfind(v3, 0), 0u) << out.str().substr(0, 40);
+  for (const int version : {1, 2}) {
+    std::string text = out.str();
+    text.replace(0, v3.size(),
+                 "obdrel-hybrid-lut " + std::to_string(version) + "\n");
+    std::istringstream in(text);
+    try {
+      (void)core::HybridEvaluator::load(in, *problem_);
+      FAIL() << "a version-" << version << " stream loaded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -623,34 +623,39 @@ TEST_F(ServeEngineTest, CorruptDiskEntryIsQuarantinedAndRecomputed) {
   }
 }
 
-// A CRC-valid disk entry in .lut format version 1 (libm-filled tables)
-// is never believed: load refuses it, the entry is quarantined, and the
-// reply is rebuilt with the bytes of a cold build.
+// A CRC-valid disk entry in .lut format version 1 (libm-filled tables) or
+// 2 (per-node portable exp) is never believed: load refuses it, the entry
+// is quarantined, and the reply is rebuilt with the bytes of a cold build.
 TEST_F(ServeEngineTest, VersionOneDiskEntryIsQuarantinedAndRebuilt) {
   const auto opts = engine_options();
-  std::string cold;
-  {
-    serve::QueryEngine engine(base_config(), opts);
-    cold = engine.evaluate({query("x", 3.15e8)})[0];
-    EXPECT_TRUE(engine.cache().flush());
-  }
-  const std::string key = serve::problem_key(base_config());
-  const std::string path =
-      serve::cache_file_path(opts.cache.dir, serve::fingerprint(key));
-  bool quarantined = false;
-  auto text = serve::read_cache_file(path, key, &quarantined);
-  ASSERT_TRUE(text.has_value());
-  const std::string v2 = "obdrel-hybrid-lut 2\n";
-  ASSERT_EQ(text->rfind(v2, 0), 0u);
-  text->replace(0, v2.size(), "obdrel-hybrid-lut 1\n");
-  ASSERT_TRUE(serve::write_cache_file(path, key, *text));
-  {
-    serve::QueryEngine engine(base_config(), opts);
-    EXPECT_EQ(engine.evaluate({query("x", 3.15e8)})[0], cold);
-    EXPECT_EQ(engine.cache().stats().disk_hits, 0u);
-    EXPECT_EQ(engine.cache().stats().corrupt, 1u);
-    EXPECT_EQ(engine.cache().stats().misses, 1u);
-    EXPECT_TRUE(fs::exists(path + ".quarantined"));
+  for (const int version : {1, 2}) {
+    std::string cold;
+    {
+      serve::QueryEngine engine(base_config(), opts);
+      cold = engine.evaluate({query("x", 3.15e8)})[0];
+      EXPECT_TRUE(engine.cache().flush());
+    }
+    const std::string key = serve::problem_key(base_config());
+    const std::string path =
+        serve::cache_file_path(opts.cache.dir, serve::fingerprint(key));
+    bool quarantined = false;
+    auto text = serve::read_cache_file(path, key, &quarantined);
+    ASSERT_TRUE(text.has_value());
+    const std::string v3 = "obdrel-hybrid-lut 3\n";
+    ASSERT_EQ(text->rfind(v3, 0), 0u);
+    text->replace(0, v3.size(),
+                  "obdrel-hybrid-lut " + std::to_string(version) + "\n");
+    ASSERT_TRUE(serve::write_cache_file(path, key, *text));
+    fs::remove(path + ".quarantined");
+    {
+      serve::QueryEngine engine(base_config(), opts);
+      EXPECT_EQ(engine.evaluate({query("x", 3.15e8)})[0], cold)
+          << "version " << version;
+      EXPECT_EQ(engine.cache().stats().disk_hits, 0u);
+      EXPECT_EQ(engine.cache().stats().corrupt, 1u);
+      EXPECT_EQ(engine.cache().stats().misses, 1u);
+      EXPECT_TRUE(fs::exists(path + ".quarantined"));
+    }
   }
 }
 
