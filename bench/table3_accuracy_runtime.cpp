@@ -113,7 +113,7 @@ int main() {
     sum_speed[2] += sp_hyb;
     run.add_row({design.name, fmt(t_fast, 2), fmt(sp_fast, 0),
                  fmt(t_stmc, 2), fmt(sp_stmc, 0),
-                 fmt(t_hybrid_query, 4) + " (+" + fmt(t_hybrid_build, 2) +
+                 fmt(t_hybrid_query, 4) + " (+" + fmt(t_hybrid_build, 3) +
                      " build)",
                  fmt(sp_hyb, 0), fmt(t_mc, 1)});
     csv_rows.push_back({static_cast<double>(ci),
