@@ -10,7 +10,8 @@
 //   gram_aat (SYRK)   bit-identical
 //   clenshaw_batch    bit-identical (FNV checksum equality)
 //   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect, hybrid_row,
-//   box_muller        bit-identical (FNV checksum equality)
+//   box_muller, quad_form_dots
+//                     bit-identical (FNV checksum equality)
 //
 // On top of the exactness gates, each lap gates the tier that "auto"
 // dispatch serves for the kernel (simd::kernel_level, the AVX2 table
@@ -421,6 +422,33 @@ int main() {
       },
       avx2);
 
+  // --------------------------------------------------- quad_form_dots ----
+  // st_MC's per-sample sums at the EV6 L2 block's 296 kept components
+  // (grid 25), cycling over 64 samples' normals.
+  const std::size_t qf_n = 296, qf_samples = 64;
+  std::vector<double> qf_alpha(qf_n), qf_beta(qf_n), qf_lambda(qf_n);
+  std::vector<double> qf_y(qf_n * qf_samples);
+  for (std::size_t i = 0; i < qf_n; ++i) {
+    qf_alpha[i] = 1e-2 * rng.normal();
+    qf_beta[i] = 1e-4 * rng.normal();
+    qf_lambda[i] = 1e-4 * rng.uniform();
+  }
+  for (double& x : qf_y) x = rng.normal();
+  Lap qform = bitwise_lap(
+      "quad_form_dots", "n=" + std::to_string(qf_n) + " x 400000",
+      [&](const simd::KernelTable& t) {
+        std::vector<double> out(3 * qf_samples);
+        for (std::size_t r = 0; r < batch(400000); ++r) {
+          const std::size_t sample = r % qf_samples;
+          t.quad_form_dots(qf_alpha.data(), qf_beta.data(), qf_lambda.data(),
+                           qf_y.data() + sample * qf_n, qf_n,
+                           out.data() + 3 * sample);
+        }
+        g_sink = out[0];
+        return out;
+      },
+      avx2);
+
   // Per-kernel auto-tier gates against this run's own timings.
   std::printf("\n");
   simd::configure("auto");
@@ -436,11 +464,12 @@ int main() {
   gate_auto("tred2_reflect", reflect, simd::KernelId::kTred2Reflect, avx2);
   gate_auto("hybrid_row", hrow, simd::KernelId::kHybridRow, avx2);
   gate_auto("box_muller", boxm, simd::KernelId::kBoxMuller, avx2);
+  gate_auto("quad_form_dots", qform, simd::KernelId::kQuadFormDots, avx2);
 
   bool pass = true;
   for (const Lap* lap :
        {&fill, &dot, &cdf, &gemm, &gram, &clen, &rotate, &symv, &rank2,
-        &reflect, &hrow, &boxm})
+        &reflect, &hrow, &boxm, &qform})
     pass = pass && lap->pass && lap->auto_pass;
   std::printf("\nexactness + auto-tier gates %s\n", pass ? "PASS" : "FAIL");
 
@@ -475,7 +504,8 @@ int main() {
   emit("tred2_rank2", rank2);
   emit("tred2_reflect", reflect);
   emit("hybrid_row", hrow);
-  emit("box_muller", boxm, true);
+  emit("box_muller", boxm);
+  emit("quad_form_dots", qform, true);
   out << "}\n";
   std::printf("(wrote %s)\n", path.c_str());
   return pass ? 0 : 1;

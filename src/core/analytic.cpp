@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "linalg/eigen.hpp"
+#include "simd/kernels.hpp"
 #include "stats/histogram.hpp"
 #include "stats/sampling.hpp"
 
@@ -121,7 +122,8 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
   //   u = w.n + alpha.y + (sigma_r / sqrt(m)) r,     alpha = U^T L^T w,
   //   v = sigma_r^2 + m/(m-1) max(0, d^T W d + beta.y + sum_i lambda_i
   //       y_i^2),                                     beta = 2 U^T C^T W d,
-  // with r the residual normal. The spread is taken around the correlated
+  // with r the residual normal. One quad_form_dots kernel call forms a
+  // sample's three sums. The spread is taken around the correlated
   // block mean, as in BlodMoments::v_value, so the residual-mean draw
   // enters u only. Each sample draws its keep normals, then r, with one
   // Rng::fill_normal call.
@@ -140,6 +142,7 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
     max_cells = std::max(max_cells, layout.weights[j].size());
   }
   std::vector<double> normals(max_cells + 1);
+  const simd::KernelTable& kt = simd::kernels();
 
   const std::size_t pc = canonical.pc_count();
   for (std::size_t j = 0; j < n_blocks; ++j) {
@@ -194,12 +197,18 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
         }
       }
       local = la::Matrix();
-      auto eig_q = la::eigen_symmetric(la::gram_aat(scaled_ct));
-      for (std::size_t i = 0; i < keep; ++i)
-        for (std::size_t k = 0; k < keep; ++k) {
-          alpha[i] += eig_q.vectors(k, i) * lw[k];
-          beta[i] += 2.0 * eig_q.vectors(k, i) * cwd[k];
-        }
+      // Only lambda, alpha and beta are needed, so Q's eigenvectors are
+      // never formed: the solve projects [L^T w, 2 C^T W d] directly.
+      la::Matrix x(keep, 2);
+      for (std::size_t k = 0; k < keep; ++k) {
+        x(k, 0) = lw[k];
+        x(k, 1) = 2.0 * cwd[k];
+      }
+      auto eig_q = la::eigen_symmetric_project(la::gram_aat(scaled_ct), x);
+      for (std::size_t i = 0; i < keep; ++i) {
+        alpha[i] = eig_q.projected(i, 0);
+        beta[i] = eig_q.projected(i, 1);
+      }
       lambda_q = std::move(eig_q.values);
     }
 
@@ -221,19 +230,15 @@ StMcAnalyzer::StMcAnalyzer(const ReliabilityProblem& problem,
       } else {
         rng.fill_normal(normals.data(), keep + 1);
       }
-      double lin_u = 0.0;
-      double lin_v = 0.0;
-      double quad = 0.0;
-      for (std::size_t i = 0; i < keep; ++i) {
-        lin_u += alpha[i] * y[i];
-        lin_v += beta[i] * y[i];
-        quad += lambda_q[i] * y[i] * y[i];
-      }
+      // dots = {alpha.y, beta.y, sum lambda_i y_i^2}.
+      double dots[3];
+      kt.quad_form_dots(alpha.data(), beta.data(), lambda_q.data(), y, keep,
+                        dots);
       // Residual-mean term of eq. 22 (O(1/sqrt(m_j)), kept for fidelity).
-      us.push_back(u_const + lin_u + residual_scale * normals[keep]);
+      us.push_back(u_const + dots[0] + residual_scale * normals[keep]);
       vs.push_back(sr * sr +
                    spread_scale *
-                       std::max(0.0, spread_const + lin_v + quad));
+                       std::max(0.0, spread_const + dots[1] + dots[2]));
     }
   }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/fault_injection.hpp"
 #include "simd/kernels.hpp"
@@ -11,18 +13,19 @@ namespace obd::la {
 namespace {
 
 // Householder reduction of a real symmetric matrix to tridiagonal form
-// (EISPACK tred2). On return `a` holds the transpose of the accumulated
-// orthogonal transform Q, `d` the diagonal, and `e` the subdiagonal (e[0]
-// unused).
+// (the first half of EISPACK tred2). On return row i of `a` holds the
+// reflector P_i = I - u u^T / d[i] in its entries [0, i) (d[i] == 0: no
+// reflection), the lower triangle's diagonal holds the tridiagonal's
+// diagonal, and `e` the subdiagonal (e[0] unused). The reduction is
+// T = Q^T A Q with Q^T = P_1 P_2 ... P_(n-1).
 //
 // Every element sees the floating-point operations of tred2 in tred2's
 // order; only the loop nesting differs, so that the inner loops walk rows
-// of the row-major matrix instead of stride-n columns. Keeping Q^T instead
-// of Q is what turns the accumulation into row sweeps. The O(n^3) loop
+// of the row-major matrix instead of stride-n columns. The O(n^3) loop
 // nests run through the dispatched kernels, which keep that order bit for
 // bit at every SIMD level (simd/kernels.hpp).
-void tridiagonalize(Matrix& a, Vector& d, Vector& e,
-                    const simd::KernelTable& kt) {
+void householder_reduce(Matrix& a, Vector& d, Vector& e,
+                        const simd::KernelTable& kt) {
   const std::size_t n = a.rows();
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
@@ -61,8 +64,14 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e,
   }
   d[0] = 0.0;
   e[0] = 0.0;
-  // Accumulate the transforms into the leading block, which holds Q^T:
-  // Q(k, j) -= (u . Q(:, j)) u_k / h becomes a dot and an axpy on row j.
+}
+
+// The second half of tred2: accumulates the reflectors into Q^T in place
+// and moves the tridiagonal's diagonal into `d`. Keeping Q^T instead of Q
+// turns Q(k, j) -= (u . Q(:, j)) u_k / h into a dot and an axpy on row j.
+// Row i's diagonal entry is read before any reflection can touch it.
+void accumulate_transform(Matrix& a, Vector& d, const simd::KernelTable& kt) {
+  const std::size_t n = a.rows();
   Vector w(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0 && d[i] != 0.0) {
@@ -80,15 +89,44 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e,
   }
 }
 
+// Q^T X in place of X (n x k): the stored reflectors applied in reverse
+// order, P_(n-1) first. Per reflector and column, g = u . x(:, c) in
+// ascending index, then x(j, c) -= g * (u_j / h), the accumulation's
+// arithmetic on a k-column right-hand side. Then moves the diagonal into
+// `d` as accumulate_transform does.
+void project_transform(const Matrix& a, Vector& d, Matrix& x) {
+  const std::size_t n = a.rows();
+  const std::size_t k = x.cols();
+  Vector g(k, 0.0);
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    if (d[i] == 0.0) continue;
+    const double* u = a.row(i);
+    std::fill(g.begin(), g.end(), 0.0);
+    for (std::size_t j = 0; j < i; ++j) {
+      const double* xj = x.row(j);
+      for (std::size_t c = 0; c < k; ++c) g[c] += u[j] * xj[c];
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      const double wj = u[j] / d[i];
+      double* xj = x.row(j);
+      for (std::size_t c = 0; c < k; ++c) xj[c] -= g[c] * wj;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) d[i] = a(i, i);
+}
+
 double hypot2(double a, double b) { return std::hypot(a, b); }
 
 // Implicit-shift QL iteration on a symmetric tridiagonal matrix (EISPACK
-// tql2). `d` holds the diagonal, `e` the subdiagonal; eigenvectors are
-// accumulated into the rows of `zt` (which should enter holding the
-// tridiagonalizing Q^T), so each rotation updates two contiguous rows.
+// tql2). `d` holds the diagonal, `e` the subdiagonal; the rotations are
+// applied to the rows of `zt` (n x k), so each one updates two contiguous
+// rows of k entries. Entering with the tridiagonalizing Q^T leaves the
+// eigenvectors in the rows; entering with Q^T X leaves their projections
+// U^T X. The eigenvalues never depend on `zt`.
 void ql_implicit(Vector& d, Vector& e, Matrix& zt,
                  const simd::KernelTable& kt) {
   const std::size_t n = d.size();
+  const std::size_t k = zt.cols();
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -130,7 +168,7 @@ void ql_implicit(Vector& d, Vector& e, Matrix& zt,
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        kt.tql2_rotate(zt.row(i), zt.row(i + 1), c, s, n);
+        kt.tql2_rotate(zt.row(i), zt.row(i + 1), c, s, k);
       }
       if (r == 0.0 && m > l + 1) continue;
       d[l] -= p;
@@ -140,54 +178,86 @@ void ql_implicit(Vector& d, Vector& e, Matrix& zt,
   }
 }
 
-}  // namespace
-
-EigenDecomposition eigen_symmetric(const Matrix& a) {
-  require(a.rows() == a.cols(), "eigen_symmetric: matrix must be square");
-  require(!a.empty(), "eigen_symmetric: matrix must be non-empty");
+// The checked, exactly symmetrized copy of `a` that both entry points
+// reduce. `who` names the caller in the errors.
+Matrix symmetrized(const Matrix& a, const char* who) {
+  const auto check = [who](bool ok, const char* what) {
+    if (!ok) throw Error(std::string(who) + ": " + what);
+  };
+  check(a.rows() == a.cols(), "matrix must be square");
+  check(!a.empty(), "matrix must be non-empty");
   if (fault::should_fire(fault::site::kEigen))
-    throw Error("eigen_symmetric: injected QL nonconvergence fault",
+    throw Error(std::string(who) + ": injected QL nonconvergence fault",
                 ErrorCode::kNonconvergence);
   // Allow tiny floating-point asymmetry from covariance construction.
   const double scale =
       std::max(1.0, std::sqrt(a.frobenius_squared() /
                               static_cast<double>(a.rows() * a.cols())));
-  require(a.max_asymmetry() <= 1e-9 * scale,
-          "eigen_symmetric: matrix is not symmetric");
+  check(a.max_asymmetry() <= 1e-9 * scale, "matrix is not symmetric");
 
   const std::size_t n = a.rows();
-  Matrix zt = a;
+  Matrix sym = a;
   // Symmetrize exactly so the reduction sees a clean input.
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = r + 1; c < n; ++c) {
-      const double v = 0.5 * (zt(r, c) + zt(c, r));
-      zt(r, c) = v;
-      zt(c, r) = v;
+      const double v = 0.5 * (sym(r, c) + sym(c, r));
+      sym(r, c) = v;
+      sym(c, r) = v;
     }
+  return sym;
+}
 
-  Vector d(n, 0.0);
-  Vector e(n, 0.0);
-  if (n == 1) {
-    d[0] = zt(0, 0);
-    zt(0, 0) = 1.0;
-  } else {
-    const simd::KernelTable& kt = simd::kernels();
-    tridiagonalize(zt, d, e, kt);
-    ql_implicit(d, e, zt, kt);
-  }
-
-  // Sort eigenpairs by descending eigenvalue.
-  std::vector<std::size_t> order(n);
+// Indices of `d` by descending value.
+std::vector<std::size_t> descending_order(const Vector& d) {
+  std::vector<std::size_t> order(d.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t i, std::size_t j) { return d[i] > d[j]; });
+  return order;
+}
 
+}  // namespace
+
+EigenDecomposition eigen_symmetric(const Matrix& a) {
+  Matrix zt = symmetrized(a, "eigen_symmetric");
+  const std::size_t n = zt.rows();
+  Vector d(n, 0.0);
+  Vector e(n, 0.0);
+  const simd::KernelTable& kt = simd::kernels();
+  householder_reduce(zt, d, e, kt);
+  accumulate_transform(zt, d, kt);
+  ql_implicit(d, e, zt, kt);
+
+  const std::vector<std::size_t> order = descending_order(d);
   EigenDecomposition out;
   out.values.resize(n);
   out.vectors = Matrix(n, n);
   for (std::size_t k = 0; k < n; ++k) {
     out.values[k] = d[order[k]];
     for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = zt(order[k], r);
+  }
+  return out;
+}
+
+EigenProjection eigen_symmetric_project(const Matrix& a, const Matrix& x) {
+  Matrix reflectors = symmetrized(a, "eigen_symmetric_project");
+  const std::size_t n = reflectors.rows();
+  require(x.rows() == n, "eigen_symmetric_project: x must have n rows");
+  Vector d(n, 0.0);
+  Vector e(n, 0.0);
+  Matrix y = x;
+  const simd::KernelTable& kt = simd::kernels();
+  householder_reduce(reflectors, d, e, kt);
+  project_transform(reflectors, d, y);
+  ql_implicit(d, e, y, kt);
+
+  const std::vector<std::size_t> order = descending_order(d);
+  EigenProjection out;
+  out.values.resize(n);
+  out.projected = Matrix(n, y.cols());
+  for (std::size_t k = 0; k < n; ++k) {
+    out.values[k] = d[order[k]];
+    std::copy_n(y.row(order[k]), y.cols(), out.projected.row(k));
   }
   return out;
 }

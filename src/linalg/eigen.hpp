@@ -10,6 +10,9 @@
 // result is bit-identical to the textbook column-order port. It is the
 // only eigensolver: the PCA canonical form and st_MC's block-local PCA
 // both decompose the full matrix and truncate by leading_component_count.
+// eigen_symmetric_project shares its reduction and QL iteration for
+// callers that need the eigenvalues and a few projections but not the
+// eigenvectors themselves.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +34,28 @@ struct EigenDecomposition {
 /// Throws obd::Error if `a` is not square, is materially asymmetric, or if
 /// the QL iteration fails to converge (pathological input).
 EigenDecomposition eigen_symmetric(const Matrix& a);
+
+/// Eigenvalues of a symmetric matrix A = U diag(values) U^T with the
+/// projections U^T X of the columns of X, without forming U.
+struct EigenProjection {
+  /// Eigenvalues sorted in descending order.
+  Vector values;
+  /// U^T X (n x k): row r holds the projections onto the unit eigenvector
+  /// of values[r].
+  Matrix projected;
+};
+
+/// Computes the eigenvalues of `a`, bit-identical to
+/// eigen_symmetric(a).values, and U^T x for an n x k matrix `x` (k may be
+/// 0). The Householder reflectors go to x in place of an accumulated
+/// transform and the QL rotations act on k entries per row instead of n,
+/// so the cost is the reduction's 4n^3/3 flops plus O(n^2 k) instead of
+/// the full solve's ~9n^3. U^T x agrees with eigen_symmetric(a).vectors^T
+/// x to rounding: both apply the same reflectors and rotations, so every
+/// eigenvector keeps its sign, but the products associate differently.
+/// Same errors (and the same linalg.eigen fault site) as eigen_symmetric,
+/// plus x.rows() != a.rows().
+EigenProjection eigen_symmetric_project(const Matrix& a, const Matrix& x);
 
 /// Number of leading components whose eigenvalues reach `variance_share`
 /// of the spectrum's total, the sum of `values_descending` with roundoff

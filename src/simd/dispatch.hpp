@@ -38,6 +38,7 @@ enum class KernelId {
   kTred2Reflect,
   kHybridRow,
   kBoxMuller,
+  kQuadFormDots,
 };
 
 /// "scalar" or "avx2".

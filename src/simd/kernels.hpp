@@ -3,12 +3,14 @@
 // Each entry is one of the straight-line inner loops that dominate
 // end-to-end runtime now that the algorithmic fast paths are in place
 // (see docs/PERFORMANCE.md, "SIMD kernels"). Two implementations exist:
-// a scalar reference (`kernels_scalar.cpp`, compiled at the baseline ISA,
-// bit-identical to the loops it replaced except hybrid_row and
-// box_muller, which traded libm's exp/expm1 and log/sin/cos for portable
-// ones) and an AVX2+FMA variant (`kernels_avx2.cpp`, compiled per-file
-// with -mavx2 -mfma). Dispatch between them (auto | avx2 | scalar) is a
-// process-wide runtime decision — see dispatch.hpp.
+// a scalar reference (`kernels_scalar.cpp`, compiled at the baseline ISA)
+// and an AVX2+FMA variant (`kernels_avx2.cpp`, compiled per-file with
+// -mavx2 -mfma). Most scalar kernels are bit-identical to the loops they
+// replaced; three are not: hybrid_row and box_muller traded libm's
+// exp/expm1 and log/sin/cos for portable ones, and quad_form_dots sums in
+// four lanes where st_MC's sample loop ran three single-chain dots.
+// Dispatch between the tables (auto | avx2 | scalar) is a process-wide
+// runtime decision — see dispatch.hpp.
 //
 // Exactness contracts (what callers may rely on, per kernel):
 //   fill_bin_factors  scalar: bit-identical to the historical loop.
@@ -102,6 +104,17 @@
 //                     sqrt(-2 log u1) * cos/sin((2 pi) * u2) on the same
 //                     uniforms, +0 and -0 counted equal
 //                     (tests/simd_test.cpp).
+//   quad_form_dots    bit-identical across ALL levels: the three sums
+//                     alpha.y, beta.y and sum (lambda_i*y_i)*y_i each
+//                     follow dot_counts' lane structure (lane l sums
+//                     elements 4j+l in ascending j, every product rounded
+//                     before the add, no FMA; the scalar tail into lane
+//                     0; combined as (a0 + a2) + (a1 + a3)), so it needs
+//                     no FMA build and runs as fast on hosts without FMA.
+//                     NaN and inf entries propagate as in any IEEE sum
+//                     (which NaN comes out is not fixed). Error budget:
+//                     each sum within (n/4 + 6) * 2^-53 * sum |terms| of
+//                     the exact one (tests/simd_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -195,6 +208,14 @@ struct KernelTable {
   /// doubles.
   void (*box_muller)(const double* u1, const double* u2, std::size_t n,
                      double* out);
+  /// The three per-sample sums of st_MC's (u, v) in the eigenbasis of a
+  /// block's quadratic form: out[0] = alpha.y, out[1] = beta.y and
+  /// out[2] = sum_i (lambda[i]*y[i])*y[i] over [0, n), each in the
+  /// four-lane order of the contract above. `out` holds 3 doubles; n == 0
+  /// gives zeros.
+  void (*quad_form_dots)(const double* alpha, const double* beta,
+                         const double* lambda, const double* y,
+                         std::size_t n, double* out);
 };
 
 /// The table for the active dispatch level (lazily resolved from

@@ -94,6 +94,40 @@ double dot_counts_avx2(const std::uint32_t* c, const double* e,
   return (a[0] + a[2]) + (a[1] + a[3]);
 }
 
+// quad_form_dots: dot_counts' lane structure for three sums at once, one
+// register each. The quadratic term rounds lambda*y, then its product
+// with y, as the scalar kernel does.
+void quad_form_dots_avx2(const double* alpha, const double* beta,
+                         const double* lambda, const double* y,
+                         std::size_t n, double* out) {
+  __m256d acc_a = _mm256_setzero_pd();
+  __m256d acc_b = _mm256_setzero_pd();
+  __m256d acc_q = _mm256_setzero_pd();
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d yv = _mm256_loadu_pd(y + k);
+    acc_a = _mm256_add_pd(acc_a, _mm256_mul_pd(_mm256_loadu_pd(alpha + k), yv));
+    acc_b = _mm256_add_pd(acc_b, _mm256_mul_pd(_mm256_loadu_pd(beta + k), yv));
+    acc_q = _mm256_add_pd(
+        acc_q,
+        _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(lambda + k), yv), yv));
+  }
+  alignas(32) double a[4];
+  alignas(32) double b[4];
+  alignas(32) double q[4];
+  _mm256_store_pd(a, acc_a);
+  _mm256_store_pd(b, acc_b);
+  _mm256_store_pd(q, acc_q);
+  for (; k < n; ++k) {
+    a[0] += alpha[k] * y[k];
+    b[0] += beta[k] * y[k];
+    q[0] += (lambda[k] * y[k]) * y[k];
+  }
+  out[0] = (a[0] + a[2]) + (a[1] + a[3]);
+  out[1] = (b[0] + b[2]) + (b[1] + b[3]);
+  out[2] = (q[0] + q[2]) + (q[1] + q[3]);
+}
+
 // ---------------------------------------------------------------------
 // Vectorized standard-normal CDF via polynomial erfc.
 //
@@ -625,7 +659,7 @@ const KernelTable kAvx2Kernels = {
     matmul_avx2,           matvec_avx2,      gram_aat_avx2,
     clenshaw_batch_avx2,   tql2_rotate_avx2, tred2_symv_avx2,
     tred2_rank2_avx2,      tred2_reflect_avx2, hybrid_row_avx2,
-    box_muller_avx2,
+    box_muller_avx2,       quad_form_dots_avx2,
 };
 
 }  // namespace detail

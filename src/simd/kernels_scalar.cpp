@@ -4,12 +4,14 @@
 // inner loop it replaced (montecarlo.cpp's dot_counts/fill_bin_factors,
 // matrix.cpp's matmul/multiply/gram_aat, stats::normal_cdf, eigen.cpp's
 // tred2/tql2 loops), so forcing
-// OBDREL_SIMD=scalar reproduces pre-SIMD results exactly. hybrid_row and
-// box_muller are the exceptions: they replaced libm's exp/expm1 and
+// OBDREL_SIMD=scalar reproduces pre-SIMD results exactly. Three are
+// exceptions. hybrid_row and box_muller replaced libm's exp/expm1 and
 // log/sin/cos with the portable ones of hybrid_row.hpp and box_muller.hpp,
 // and their scalar variants run them one lane at a time, in a baseline
 // build and in an FMA build that the table serves where the CPU has FMA
 // (the two functions here compiled above the baseline ISA).
+// quad_form_dots sums in dot_counts' four lanes, where st_MC's sample loop
+// ran three single-chain dots.
 
 #include <bit>
 #include <cmath>
@@ -54,6 +56,31 @@ double dot_counts_scalar(const std::uint32_t* c, const double* e,
   }
   for (; k < n; ++k) a0 += static_cast<double>(c[k]) * e[k];
   return (a0 + a2) + (a1 + a3);
+}
+
+// dot_counts' four lanes for each of the three sums; the AVX2 variant
+// holds each sum's lanes in one register.
+void quad_form_dots_scalar(const double* alpha, const double* beta,
+                           const double* lambda, const double* y,
+                           std::size_t n, double* out) {
+  double a[4] = {0.0, 0.0, 0.0, 0.0};
+  double b[4] = {0.0, 0.0, 0.0, 0.0};
+  double q[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4)
+    for (std::size_t l = 0; l < 4; ++l) {
+      a[l] += alpha[k + l] * y[k + l];
+      b[l] += beta[k + l] * y[k + l];
+      q[l] += (lambda[k + l] * y[k + l]) * y[k + l];
+    }
+  for (; k < n; ++k) {
+    a[0] += alpha[k] * y[k];
+    b[0] += beta[k] * y[k];
+    q[0] += (lambda[k] * y[k]) * y[k];
+  }
+  out[0] = (a[0] + a[2]) + (a[1] + a[3]);
+  out[1] = (b[0] + b[2]) + (b[1] + b[3]);
+  out[2] = (q[0] + q[2]) + (q[1] + q[3]);
 }
 
 // Exactly stats::normal_cdf per element (same expression, same libm).
@@ -323,7 +350,7 @@ const KernelTable kScalarKernels = {
     matmul_scalar,           matvec_scalar,      gram_aat_scalar,
     clenshaw_batch_scalar,   tql2_rotate_scalar, tred2_symv_scalar,
     tred2_rank2_scalar,      tred2_reflect_scalar, hybrid_row_scalar,
-    box_muller_scalar,
+    box_muller_scalar,       quad_form_dots_scalar,
 };
 
 }  // namespace detail

@@ -1,5 +1,6 @@
 #include "stats/quadform.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -117,19 +118,12 @@ struct ImhofTerms {
 
 ImhofTerms diagonalize(const QuadraticForm& form) {
   require(!form.quad.empty(), "imhof_cdf: quadratic part required");
-  const auto eig = la::eigen_symmetric(form.quad);
-  const std::size_t n = eig.values.size();
-
-  // Rotate the linear term into the eigenbasis: m = V^T l.
-  la::Vector m(n, 0.0);
-  if (!form.linear.empty()) {
-    for (std::size_t k = 0; k < n; ++k) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < n; ++r)
-        s += eig.vectors(r, k) * form.linear[r];
-      m[k] = s;
-    }
-  }
+  // The linear term in the eigenbasis, m = V^T l, without forming V.
+  const std::size_t n = form.dimension();
+  la::Matrix l(n, 1);
+  std::copy(form.linear.begin(), form.linear.end(), l.row(0));
+  const auto eig = la::eigen_symmetric_project(form.quad, l);
+  const la::Vector m(eig.projected.row(0), eig.projected.row(0) + n);
 
   double scale = 0.0;
   for (double v : eig.values) scale = std::max(scale, std::fabs(v));

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
@@ -190,9 +195,9 @@ TEST(EigenSymmetric, GoldenDigestsOfGridCovariances) {
   }
 }
 
-TEST(EigenSymmetric, GoldenDigestOfSplittingBlockDiagonal) {
-  // Blocks {0}, {1..3}, {4..7}: the exact zero subdiagonals split the QL
-  // iteration at e[m], and the tiny scales drive a rotation to r == 0.
+// Blocks {0}, {1..3}, {4..7}: the exact zero subdiagonals split the QL
+// iteration at e[m], and the tiny scales drive a rotation to r == 0.
+Matrix splitting_block_diagonal() {
   const double lower[8][8] = {
       {0x1p-452},
       {0.0, -0x1p-332},
@@ -205,7 +210,12 @@ TEST(EigenSymmetric, GoldenDigestOfSplittingBlockDiagonal) {
   Matrix a(8, 8);
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j <= i; ++j) a(i, j) = a(j, i) = lower[i][j];
-  EXPECT_EQ(eigen_digest(eigen_symmetric(a)), 0xe9cd472433705bd1ull);
+  return a;
+}
+
+TEST(EigenSymmetric, GoldenDigestOfSplittingBlockDiagonal) {
+  EXPECT_EQ(eigen_digest(eigen_symmetric(splitting_block_diagonal())),
+            0xe9cd472433705bd1ull);
 }
 
 TEST(EigenSymmetric, GoldenDigestsOfSmallestSizes) {
@@ -256,6 +266,150 @@ TEST(EigenSymmetric, GoldenDigestOfGrid32Covariance) {
   const Matrix cov = var::build_covariance(grid, var::VariationBudget{}, 0.5);
   const std::uint64_t d = eigen_digest(eigen_symmetric(cov));
   EXPECT_EQ(d, 0x56ea344dd2298ef0ull) << std::hex << "0x" << d;
+}
+
+// ------------------------------------------------------------------------
+// eigen_symmetric_project: eigenvalues and U^T X without forming U.
+
+// A seeded n x k matrix of standard normals.
+Matrix random_columns(std::size_t n, std::size_t k, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  Matrix x(n, k);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < k; ++c) x(r, c) = rng.normal();
+  return x;
+}
+
+// Both paths apply the same reflectors and rotations to x, so U^T x and
+// the full solve's V^T x differ by rounding only: each entry within
+// kProjectionRel * n * eps * |x(:, c)|.
+constexpr double kProjectionRel = 4.0;
+
+// The projection's eigenvalues must equal eigen_symmetric's bit for bit,
+// and each projection its V^T x within the bound above.
+void expect_projection_matches(const Matrix& a, const Matrix& x,
+                               const std::string& what) {
+  const EigenDecomposition full = eigen_symmetric(a);
+  const EigenProjection proj = eigen_symmetric_project(a, x);
+  const std::size_t n = a.rows();
+  ASSERT_EQ(proj.values.size(), n) << what;
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(proj.values[i]),
+              std::bit_cast<std::uint64_t>(full.values[i]))
+        << what << " value " << i;
+  ASSERT_EQ(proj.projected.rows(), n) << what;
+  ASSERT_EQ(proj.projected.cols(), x.cols()) << what;
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    double norm2 = 0.0;
+    for (std::size_t r = 0; r < n; ++r) norm2 += x(r, c) * x(r, c);
+    const double bound = kProjectionRel * static_cast<double>(n) *
+                         std::numeric_limits<double>::epsilon() *
+                         std::sqrt(norm2);
+    for (std::size_t i = 0; i < n; ++i) {
+      double want = 0.0;
+      for (std::size_t r = 0; r < n; ++r) want += full.vectors(r, i) * x(r, c);
+      EXPECT_NEAR(proj.projected(i, c), want, bound)
+          << what << " eigenvector " << i << " column " << c;
+    }
+  }
+}
+
+TEST(EigenProjection, MatchesFullSolveOnTheGoldenInputs) {
+  for (const std::size_t side : {8u, 16u, 25u, 32u}) {
+    const var::GridModel grid(10.0, 10.0, side);
+    const Matrix cov = var::build_covariance(grid, var::VariationBudget{}, 0.5);
+    expect_projection_matches(cov, random_columns(cov.rows(), 2, side),
+                              "grid side " + std::to_string(side));
+  }
+  expect_projection_matches(splitting_block_diagonal(),
+                            random_columns(8, 3, 8), "splitting");
+  Matrix one(1, 1);
+  one(0, 0) = -0.75;
+  expect_projection_matches(one, random_columns(1, 2, 1), "n = 1");
+  Matrix two(2, 2);
+  two(0, 0) = 2.0;
+  two(0, 1) = two(1, 0) = 0.5;
+  two(1, 1) = -1.0;
+  expect_projection_matches(two, random_columns(2, 2, 2), "n = 2");
+  for (std::size_t n = 2; n <= 17; ++n)
+    expect_projection_matches(random_symmetric(n, 1000 + n),
+                              random_columns(n, 1 + n % 3, n),
+                              "random n = " + std::to_string(n));
+  expect_projection_matches(random_symmetric(100, 1100),
+                            random_columns(100, 2, 100), "random n = 100");
+}
+
+// No reflection and no rotation: U^T X is X's rows in the order of the
+// sorted diagonal, exactly.
+TEST(EigenProjection, DiagonalMatrixPermutesRowsExactly) {
+  const double diag[] = {0.5, -2.0, 3.0, 0.0, 1.25};
+  Matrix a(5, 5);
+  for (std::size_t i = 0; i < 5; ++i) a(i, i) = diag[i];
+  const Matrix x = random_columns(5, 2, 11);
+  const EigenProjection proj = eigen_symmetric_project(a, x);
+  const std::size_t order[] = {2, 4, 0, 3, 1};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(proj.values[i], diag[order[i]]);
+    for (std::size_t c = 0; c < 2; ++c)
+      EXPECT_EQ(proj.projected(i, c), x(order[i], c)) << i << ", " << c;
+  }
+  expect_projection_matches(a, x, "diagonal");
+}
+
+// A = W diag(3, 3, 3, 1, 1, -2) W^T for an orthogonal W: the repeated
+// eigenvalues' eigenvectors are not unique, yet both paths pick the same
+// ones. The zero matrix has one eigenvalue of multiplicity n.
+TEST(EigenProjection, RepeatedEigenvaluesAndZeroMatrix) {
+  const Matrix w = eigen_symmetric(random_symmetric(6, 77)).vectors;
+  const double spectrum[] = {3.0, 3.0, 3.0, 1.0, 1.0, -2.0};
+  Matrix a(6, 6);
+  for (std::size_t r = 0; r < 6; ++r)
+    for (std::size_t c = 0; c < 6; ++c)
+      for (std::size_t k = 0; k < 6; ++k)
+        a(r, c) += w(r, k) * spectrum[k] * w(c, k);
+  for (std::size_t r = 0; r < 6; ++r)
+    for (std::size_t c = 0; c < r; ++c) a(r, c) = a(c, r);
+  const Matrix x = random_columns(6, 2, 78);
+  expect_projection_matches(a, x, "repeated");
+  const EigenProjection proj = eigen_symmetric_project(a, x);
+  for (std::size_t i = 0; i < 6; ++i)
+    EXPECT_NEAR(proj.values[i], spectrum[i], 1e-14) << i;
+
+  const Matrix zero(6, 6);
+  expect_projection_matches(zero, x, "zero");
+  const EigenProjection z = eigen_symmetric_project(zero, x);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(z.values[i], 0.0);
+}
+
+TEST(EigenProjection, NoColumnsGivesTheValuesAlone) {
+  const Matrix a = random_symmetric(9, 21);
+  const EigenProjection proj = eigen_symmetric_project(a, Matrix(9, 0));
+  EXPECT_EQ(proj.projected.rows(), 9u);
+  EXPECT_EQ(proj.projected.cols(), 0u);
+  expect_projection_matches(a, Matrix(9, 0), "k = 0");
+}
+
+TEST(EigenProjection, RejectsBadInputAndFiresTheEigenFault) {
+  Matrix asym(2, 2);
+  asym(0, 1) = 1.0;
+  asym(1, 0) = -1.0;
+  EXPECT_THROW(eigen_symmetric_project(asym, Matrix(2, 1)), obd::Error);
+  EXPECT_THROW(eigen_symmetric_project(Matrix(2, 3), Matrix(2, 1)),
+               obd::Error);
+  EXPECT_THROW(eigen_symmetric_project(Matrix::identity(3), Matrix(2, 1)),
+               obd::Error);
+  fault::arm(fault::site::kEigen);
+  std::optional<ErrorCode> code;
+  try {
+    (void)eigen_symmetric_project(Matrix::identity(3), Matrix(3, 1));
+  } catch (const obd::Error& e) {
+    code = e.code();
+  }
+  const std::size_t fired = fault::fired(fault::site::kEigen);
+  fault::disarm();
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(*code, ErrorCode::kNonconvergence);
+  EXPECT_EQ(fired, 1u);
 }
 
 TEST(Cholesky, FactorsAndSolves) {

@@ -35,10 +35,12 @@
 #include "ulp.hpp"
 
 // Counts every plain operator new in this test binary, so a test can show
-// that a kernel call allocates nothing.
+// that a kernel call allocates nothing. None of the three is inlined, so
+// GCC never sees an inlined malloc reach a sized delete and warn
+// (-Wmismatched-new-delete).
 std::atomic<std::size_t> g_allocations{0};
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -928,6 +930,143 @@ TEST(BoxMuller, WithinEightUlpOfLibmTransform) {
 }
 
 // ------------------------------------------------------------------------
+// quad_form_dots: st_MC's three per-sample sums in dot_counts' lanes.
+
+// The lane contract written out: lane l sums elements 4j + l in ascending
+// j, each product rounded before the add and lambda*y rounded before its
+// product with y, the tail goes into lane 0, and the lanes combine as
+// (a0 + a2) + (a1 + a3).
+std::vector<double> quad_form_reference(const std::vector<double>& alpha,
+                                        const std::vector<double>& beta,
+                                        const std::vector<double>& lambda,
+                                        const std::vector<double>& y) {
+  const std::size_t n = y.size();
+  const std::size_t body = n - n % 4;
+  double acc[3][4] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t lane = i < body ? i % 4 : 0;
+    const double pa = alpha[i] * y[i];
+    const double pb = beta[i] * y[i];
+    const double ly = lambda[i] * y[i];
+    const double pq = ly * y[i];
+    acc[0][lane] += pa;
+    acc[1][lane] += pb;
+    acc[2][lane] += pq;
+  }
+  std::vector<double> out;
+  for (const auto& a : acc) out.push_back((a[0] + a[2]) + (a[1] + a[3]));
+  return out;
+}
+
+using QuadFormDotsFn = decltype(simd::KernelTable::quad_form_dots);
+
+std::vector<double> run_quad_form_dots(QuadFormDotsFn fn,
+                                       const std::vector<double>& alpha,
+                                       const std::vector<double>& beta,
+                                       const std::vector<double>& lambda,
+                                       const std::vector<double>& y) {
+  std::vector<double> out(4, -1.0);
+  fn(alpha.data(), beta.data(), lambda.data(), y.data(), y.size(),
+     out.data());
+  EXPECT_EQ(out[3], -1.0) << "wrote past out[2]";
+  out.resize(3);
+  return out;
+}
+
+// Same bits, or NaN on both sides: which NaN an IEEE sum returns depends
+// on operand order, which the contract does not fix.
+void expect_same_sums(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(want[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << what << " sum " << i;
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " sum " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST_P(SimdKernelPair, QuadFormDotsBitIdenticalAcrossLevels) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  stats::Rng rng(263);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 19; ++n) lengths.push_back(n);
+  for (const std::size_t n : {64u, 296u, 325u}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    // Variant 0 is finite; 1 puts a NaN in y, 2 +inf in alpha and -inf in
+    // beta, 3 +inf in lambda and -inf in y, each in the tail or the body.
+    for (std::size_t variant = 0; variant < 4; ++variant) {
+      if (variant > 0 && n == 0) continue;
+      auto alpha = eigen_kernel_values(rng, n);
+      auto beta = eigen_kernel_values(rng, n);
+      auto lambda = eigen_kernel_values(rng, n);
+      auto y = eigen_kernel_values(rng, n);
+      const std::size_t at = (7 * variant + n / 2) %
+                             std::max<std::size_t>(1, n);
+      if (variant == 1) y[at] = nan;
+      if (variant == 2) {
+        alpha[at] = inf;
+        beta[n - 1 - at] = -inf;
+      }
+      if (variant == 3) {
+        lambda[at] = inf;
+        y[n - 1 - at] = -inf;
+      }
+      const std::string what =
+          "n " + std::to_string(n) + " variant " + std::to_string(variant);
+      const auto want = quad_form_reference(alpha, beta, lambda, y);
+      expect_same_sums(run_quad_form_dots(s_.quad_form_dots, alpha, beta,
+                                          lambda, y),
+                       want, "scalar " + what);
+      expect_same_sums(run_quad_form_dots(v_.quad_form_dots, alpha, beta,
+                                          lambda, y),
+                       want, "vector " + what);
+    }
+  }
+}
+
+// Against the exact sums (long double), each result is within the
+// contract's (n/4 + 6) * 2^-53 * sum |terms|, at the active level, on
+// normal inputs of both signs (cancellation) and on the lengths st_MC
+// runs (EV6 blocks keep up to 296 components at grid 25).
+TEST(QuadFormDots, WithinFourLaneBoundOfLongDoubleSum) {
+  stats::Rng rng(269);
+  for (const std::size_t n : {1u, 3u, 4u, 7u, 64u, 296u, 325u, 4099u}) {
+    std::vector<double> alpha(n), beta(n), lambda(n), y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      alpha[i] = rng.normal();
+      beta[i] = 1e-3 * rng.normal();
+      lambda[i] = std::ldexp(rng.uniform(), -static_cast<int>(i % 40));
+      y[i] = rng.normal();
+    }
+    double out[3];
+    simd::kernels().quad_form_dots(alpha.data(), beta.data(), lambda.data(),
+                                   y.data(), n, out);
+    long double exact[3] = {};
+    long double mass[3] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      const long double yi = y[i];
+      const long double terms[3] = {alpha[i] * yi, beta[i] * yi,
+                                    lambda[i] * yi * yi};
+      for (std::size_t s = 0; s < 3; ++s) {
+        exact[s] += terms[s];
+        mass[s] += std::fabs(terms[s]);
+      }
+    }
+    const long double budget =
+        (static_cast<long double>(n / 4) + 6.0L) * 0x1p-53L;
+    for (std::size_t s = 0; s < 3; ++s)
+      EXPECT_LE(std::fabs(out[s] - exact[s]), budget * mass[s])
+          << "n " << n << " sum " << s;
+  }
+}
+
+// ------------------------------------------------------------------------
 // Whole-table dispatch: every level serves one table
 
 TEST(SimdDispatch, AutoServesTheWidestTableAndForcedLevelsTheirOwn) {
@@ -935,7 +1074,8 @@ TEST(SimdDispatch, AutoServesTheWidestTableAndForcedLevelsTheirOwn) {
   const auto expect_whole = [](simd::Level level,
                                const simd::KernelTable& table) {
     EXPECT_EQ(simd::active_level(), level);
-    for (int id = 0; id <= static_cast<int>(simd::KernelId::kBoxMuller); ++id)
+    for (int id = 0; id <= static_cast<int>(simd::KernelId::kQuadFormDots);
+         ++id)
       EXPECT_EQ(simd::kernel_level(static_cast<simd::KernelId>(id)), level)
           << "kernel " << id;
     // Spot-check the table kernels() serves, first to last member.
@@ -945,6 +1085,7 @@ TEST(SimdDispatch, AutoServesTheWidestTableAndForcedLevelsTheirOwn) {
     EXPECT_EQ(simd::kernels().tred2_reflect, table.tred2_reflect);
     EXPECT_EQ(simd::kernels().hybrid_row, table.hybrid_row);
     EXPECT_EQ(simd::kernels().box_muller, table.box_muller);
+    EXPECT_EQ(simd::kernels().quad_form_dots, table.quad_form_dots);
   };
   simd::configure("auto");
   if (simd::can_use_avx2()) {
