@@ -371,12 +371,15 @@ int main() {
   const core::HybridOptions hopts;
   core::UvAxes axes;
   core::uv_axes(problem.blocks()[0].blod, hopts.integration, axes);
-  std::vector<double> nu, nv, nw;
+  std::vector<double> nu, nwu, nv, nwv;
   for (const auto& [u, wu] : axes.u) {
     nu.push_back(u);
-    for (const auto& [v, wv] : axes.v) nw.push_back(wu * wv);
+    nwu.push_back(wu);
   }
-  for (const auto& [v, wv] : axes.v) nv.push_back(v);
+  for (const auto& [v, wv] : axes.v) {
+    nv.push_back(v);
+    nwv.push_back(wv);
+  }
   const double area = problem.blocks()[0].area;
   const double d_gamma = (hopts.gamma_hi - hopts.gamma_lo) /
                          static_cast<double>(hopts.n_gamma - 1);
@@ -386,13 +389,13 @@ int main() {
       "hybrid_row",
       std::to_string(hopts.n_gamma / 5) + " rows x " +
           std::to_string(hopts.n_b) + " entries x " +
-          std::to_string(nw.size()) + " nodes x 10",
+          std::to_string(nu.size() * nv.size()) + " nodes x 10",
       [&](const simd::KernelTable& t) {
         std::vector<double> table(hopts.n_gamma * hopts.n_b);
         for (std::size_t r = 0; r < batch(10); ++r) {
           for (std::size_t ig = 0; ig < hopts.n_gamma; ig += 5)
-            t.hybrid_row(nu.data(), nu.size(), nv.data(), nv.size(),
-                         nw.data(),
+            t.hybrid_row(nu.data(), nwu.data(), nu.size(), nv.data(),
+                         nwv.data(), nv.size(),
                          hopts.gamma_lo + static_cast<double>(ig) * d_gamma,
                          hopts.b_lo, d_b, area, hopts.n_b,
                          table.data() + ig * hopts.n_b);

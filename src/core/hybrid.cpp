@@ -19,9 +19,11 @@ constexpr double kLogFloor = -745.0;
 
 // .lut stream format version. Version 1 tables were filled with the
 // host's libm exp/expm1, version 2 with hybrid_row's portable ones per
-// node, version 3 with the per-axis exps of its tensor-product form. Each
-// differs from the others in the last bits, so only version 3 is read.
-constexpr int kLutVersion = 3;
+// node, version 3 with the per-axis exps of its tensor-product form, and
+// version 4 sums each u-row whose every |P_i * Q_k| is below 2^-10 as a
+// short series in per-entry v moments. Each differs from the others in
+// the last bits, so only version 4 is read.
+constexpr int kLutVersion = 4;
 
 // Gamma rows per pool task during construction. Each entry is an
 // independent node sum, so any chunking yields identical tables.
@@ -51,20 +53,23 @@ HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
 
   tables_.reserve(blocks.size());
   // The tables integrate over st_fast's quadrature: per block, the u and
-  // v axis values and the weights of their tensor-product nodes, in
-  // st_fast's node order.
+  // v axis values and weights, whose tensor product is st_fast's node
+  // list.
   UvAxes axes;
-  std::vector<double> u, v, w;
+  std::vector<double> u, wu, v, wv;
+  const auto split = [](const auto& axis, std::vector<double>& x,
+                        std::vector<double>& wx) {
+    x.clear();
+    wx.clear();
+    for (const auto& [xi, wi] : axis) {
+      x.push_back(xi);
+      wx.push_back(wi);
+    }
+  };
   for (std::size_t j = 0; j < blocks.size(); ++j) {
     uv_axes(blocks[j].blod, options.integration, axes);
-    u.clear();
-    v.clear();
-    w.clear();
-    for (const auto& [ui, wu] : axes.u) {
-      u.push_back(ui);
-      for (const auto& [vk, wv] : axes.v) w.push_back(wu * wv);
-    }
-    for (const auto& [vk, wv] : axes.v) v.push_back(vk);
+    split(axes.u, u, wu);
+    split(axes.v, v, wv);
     const double area = blocks[j].area;
     // One kernel call fills one gamma row (all b indices). Rows are
     // independent, so the fill parallelizes over them with bit-identical
@@ -75,7 +80,8 @@ HybridEvaluator::HybridEvaluator(const ReliabilityProblem& problem,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t ig = begin; ig < end; ++ig) {
             double* row = values.data() + ig * options_.n_b;
-            fill_row(u.data(), u.size(), v.data(), v.size(), w.data(),
+            fill_row(u.data(), wu.data(), u.size(), v.data(), wv.data(),
+                     v.size(),
                      options_.gamma_lo + static_cast<double>(ig) * d_gamma,
                      options_.b_lo, d_b, area, options_.n_b, row);
             if (!options_.log_space) continue;

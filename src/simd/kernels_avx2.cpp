@@ -517,12 +517,12 @@ inline void sub_scaled(double* row, double g, const double* w,
 
 // Three vectors (12 entries) per node step: on one thread the EV6 grid-25
 // fill measured 42.1 / 35.3 / 34.4 / 34.8 ms with 1 / 2 / 3 / 4 vectors.
-void hybrid_row_avx2(const double* u, std::size_t nu, const double* v,
-                     std::size_t nv, const double* w, double gamma,
-                     double b_lo, double d_b, double area, std::size_t n_b,
-                     double* out) {
-  detail::hybrid_row<Avx2Ops, 3>(u, nu, v, nv, w, gamma, b_lo, d_b, area, n_b,
-                                 out);
+void hybrid_row_avx2(const double* u, const double* wu, std::size_t nu,
+                     const double* v, const double* wv, std::size_t nv,
+                     double gamma, double b_lo, double d_b, double area,
+                     std::size_t n_b, double* out) {
+  detail::hybrid_row<Avx2Ops, 3>(u, wu, nu, v, wv, nv, gamma, b_lo, d_b, area,
+                                 n_b, out);
 }
 
 void box_muller_avx2(const double* u1, const double* u2, std::size_t n,

@@ -273,14 +273,14 @@ struct ScalarOps {
 
 // The scalar table's hybrid_row and box_muller: the FMA build where the
 // CPU has one, else the baseline build, chosen once.
-void hybrid_row_scalar(const double* u, std::size_t nu, const double* v,
-                       std::size_t nv, const double* w, double gamma,
-                       double b_lo, double d_b, double area, std::size_t n_b,
-                       double* out) {
+void hybrid_row_scalar(const double* u, const double* wu, std::size_t nu,
+                       const double* v, const double* wv, std::size_t nv,
+                       double gamma, double b_lo, double d_b, double area,
+                       std::size_t n_b, double* out) {
   static const auto build = detail::has_fma_build()
                                 ? detail::hybrid_row_fma
                                 : detail::hybrid_row_baseline;
-  build(u, nu, v, nv, w, gamma, b_lo, d_b, area, n_b, out);
+  build(u, wu, nu, v, wv, nv, gamma, b_lo, d_b, area, n_b, out);
 }
 
 void box_muller_scalar(const double* u1, const double* u2, std::size_t n,
@@ -295,11 +295,11 @@ void box_muller_scalar(const double* u1, const double* u2, std::size_t n,
 
 namespace detail {
 
-void hybrid_row_baseline(const double* u, std::size_t nu, const double* v,
-                         std::size_t nv, const double* w, double gamma,
-                         double b_lo, double d_b, double area,
+void hybrid_row_baseline(const double* u, const double* wu, std::size_t nu,
+                         const double* v, const double* wv, std::size_t nv,
+                         double gamma, double b_lo, double d_b, double area,
                          std::size_t n_b, double* out) {
-  hybrid_row<ScalarOps, 1>(u, nu, v, nv, w, gamma, b_lo, d_b, area, n_b,
+  hybrid_row<ScalarOps, 1>(u, wu, nu, v, wv, nv, gamma, b_lo, d_b, area, n_b,
                            out);
 }
 
@@ -314,10 +314,10 @@ void box_muller_baseline(const double* u1, const double* u2, std::size_t n,
 // instead of libm calls. Both round as libm does, so the bits match the
 // baseline build's.
 [[gnu::target("fma,sse4.1"), gnu::flatten]] void hybrid_row_fma(
-    const double* u, std::size_t nu, const double* v, std::size_t nv,
-    const double* w, double gamma, double b_lo, double d_b, double area,
-    std::size_t n_b, double* out) {
-  hybrid_row<ScalarOps, 1>(u, nu, v, nv, w, gamma, b_lo, d_b, area, n_b,
+    const double* u, const double* wu, std::size_t nu, const double* v,
+    const double* wv, std::size_t nv, double gamma, double b_lo, double d_b,
+    double area, std::size_t n_b, double* out) {
+  hybrid_row<ScalarOps, 1>(u, wu, nu, v, wv, nv, gamma, b_lo, d_b, area, n_b,
                            out);
 }
 
@@ -330,11 +330,11 @@ bool has_fma_build() {
   return __builtin_cpu_supports("fma") && __builtin_cpu_supports("sse4.1");
 }
 #else
-void hybrid_row_fma(const double* u, std::size_t nu, const double* v,
-                    std::size_t nv, const double* w, double gamma,
-                    double b_lo, double d_b, double area, std::size_t n_b,
-                    double* out) {
-  hybrid_row_baseline(u, nu, v, nv, w, gamma, b_lo, d_b, area, n_b, out);
+void hybrid_row_fma(const double* u, const double* wu, std::size_t nu,
+                    const double* v, const double* wv, std::size_t nv,
+                    double gamma, double b_lo, double d_b, double area,
+                    std::size_t n_b, double* out) {
+  hybrid_row_baseline(u, wu, nu, v, wv, nv, gamma, b_lo, d_b, area, n_b, out);
 }
 
 void box_muller_fma(const double* u1, const double* u2, std::size_t n,

@@ -176,11 +176,11 @@ TEST_F(CliGoldenTest, DefaultConfigOutputsMatchDigests) {
         {{"thermal", "ed616f25c08d2c43"},
          {"analyze", "1498f64bd0361e14"},
          {"report", "4bd2c67025f94c8a"},
-         {"lut build", "c74733dd30e7a2c4"},
+         {"lut build", "7c0b442fc0286446"},
          {"lut query", "1c1c39b0ce84659c"},
          {"drm run", "5301460e82d1f190"},
          {"fleet", "9e1a195fd2d07e4d"},
-         {"serve", "661dcf940b95262b"}},
+         {"serve", "a2cf72174f56ed91"}},
         "80674ac5a87a19c2",
         "5bd3b93f8ab97e7d.lut 6c8ea02597cc08d2.lut 98c53a2518110648.lut");
 }
@@ -195,11 +195,11 @@ TEST_F(CliGoldenTest, NonDefaultConfigOutputsMatchDigests) {
         {{"thermal", "0278b14918686187"},
          {"analyze", "6bf313f802477341"},
          {"report", "9c14c639abd10af2"},
-         {"lut build", "468d35dad17945ac"},
+         {"lut build", "811cabbf99b539a1"},
          {"lut query", "f28ea3576e219d5e"},
-         {"drm run", "29fd216c2487121f"},
+         {"drm run", "885f49177af415e9"},
          {"fleet", "d3eac0fd4ba976bc"},
-         {"serve", "423b0742da1f961a"}},
+         {"serve", "60e7c521b09e2750"}},
         "9e7540cb31b01bf1",
         "118f4ca0f6d09fc1.lut 8ed68bf06cbaa99a.lut f7720616e0914216.lut");
 }

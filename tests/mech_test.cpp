@@ -338,22 +338,22 @@ TEST_F(MechFixture, GoldenFailureDigestsOnEveryEntryPoint) {
   } stacks[] = {
       {"oxide",
        oxide_,
-       {0x829716d06ac3d395ull, 0xe711b4308f705c4eull, 0xd93d99406e7857beull,
-        0xb3c7a02c64296f77ull, 0x4c20f3623e0b2e5bull, 0x20ee7b0329d2a3f3ull,
-        0x413e19d4620b3cefull, 0xe4b8a654f16df7eaull, 0x28a2c77673340d17ull,
-        0x2ac04202b730480full}},
+       {0x829716d06ac3d395ull, 0xe711b4308f705c4eull, 0xfcdfb6bec7903eedull,
+        0x5fb401daaac067c0ull, 0x8573c469f1b4706aull, 0x315eca630e0eee5cull,
+        0xb26264bf7fb083c1ull, 0xe4b8a654f16df7eaull, 0x3e1a43c25b415d67ull,
+        0x8158e9641e13d565ull}},
       {"oxide+nbti+em",
        &series,
-       {0x3bd40250ad8ed757ull, 0xc69e156ca2e272efull, 0x2dca63b572244e9eull,
-        0x25cfe6500059af6full, 0x185404ad18a8c8dbull, 0xc1eee60e88636f11ull,
-        0x762cf1ae8e1d33ceull, 0x7ae724d9c94dd38aull, 0x945a8e7e9ac6b25aull,
-        0x87e7df9e56142e92ull}},
+       {0x3bd40250ad8ed757ull, 0xc69e156ca2e272efull, 0xf3f9789f3f285123ull,
+        0x010b8c819c6f5d6full, 0x5f4ecc9ddd45c602ull, 0x926593e502447c3full,
+        0x80c2f5738bcf2b13ull, 0x7ae724d9c94dd38aull, 0x945a8e7e9ac6b25aull,
+        0x1413083670b62820ull}},
       {"oxide+hci+spare",
        &spare,
-       {0xe1813c751d182817ull, 0x446c7da1ca17899dull, 0x49c8a2f6c7ca77d2ull,
-        0xd5017b3f93a8d93full, 0xa56642c8021cb1f7ull, 0xe6b2006c35b724ecull,
-        0xb94e585128361937ull, 0x17f07cc020c32e0cull, 0x780218c129a7667aull,
-        0x2cee18e6b0a44d4full}},
+       {0xe1813c751d182817ull, 0x446c7da1ca17899dull, 0x41c292cd24001632ull,
+        0x0fb96770a4db481cull, 0x18948f4529d8b7e3ull, 0x098b7874233cf292ull,
+        0x15ea501ee2a117a6ull, 0x17f07cc020c32e0cull, 0x780218c129a7667aull,
+        0x54c27c85defd765aull}},
   };
 
   for (const auto& stack : stacks) {

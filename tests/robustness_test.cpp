@@ -305,9 +305,10 @@ TEST_F(LutTest, RejectsAbsurdTableDimensionsQuickly) {
       ErrorCode::kInvalidInput);
 }
 
-// Version-1 streams hold tables filled with libm's exp/expm1 and
-// version-2 streams tables from the per-node portable exp; this build
-// writes version 3 and refuses both with a typed error naming the version.
+// Version-1 streams hold tables filled with libm's exp/expm1, version-2
+// streams tables from the per-node portable exp and version-3 streams
+// tables that sum every node on its own; this build writes version 4 and
+// refuses all three with a typed error naming the version.
 TEST_F(LutTest, RefusesVersionOneStreamNamingTheVersion) {
   core::HybridOptions hopts;
   hopts.n_gamma = 8;
@@ -315,11 +316,11 @@ TEST_F(LutTest, RefusesVersionOneStreamNamingTheVersion) {
   const core::HybridEvaluator ev(*problem_, hopts);
   std::ostringstream out;
   ev.save(out);
-  const std::string v3 = "obdrel-hybrid-lut 3\n";
-  ASSERT_EQ(out.str().rfind(v3, 0), 0u) << out.str().substr(0, 40);
-  for (const int version : {1, 2}) {
+  const std::string v4 = "obdrel-hybrid-lut 4\n";
+  ASSERT_EQ(out.str().rfind(v4, 0), 0u) << out.str().substr(0, 40);
+  for (const int version : {1, 2, 3}) {
     std::string text = out.str();
-    text.replace(0, v3.size(),
+    text.replace(0, v4.size(),
                  "obdrel-hybrid-lut " + std::to_string(version) + "\n");
     std::istringstream in(text);
     try {
