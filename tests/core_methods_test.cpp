@@ -936,10 +936,11 @@ TEST(OperatingPointStage, MatchesAFullBuildBitForBitAndOutlivesItsDonor) {
       EXPECT_TRUE(same_bits(g.blod.u_marginal().quantile(q),
                             w.blod.u_marginal().quantile(q)))
           << j;
-      if (!g.blod.v_degenerate())
+      if (!g.blod.v_degenerate()) {
         EXPECT_TRUE(same_bits(g.blod.v_marginal().quantile(q),
                               w.blod.v_marginal().quantile(q)))
             << j;
+      }
     }
   }
 
@@ -998,7 +999,7 @@ TEST(OperatingPointStage, TablesAreSharedOnlyWithinOneVariationStage) {
 
 TEST(MethodsErrors, RejectBadArguments) {
   EXPECT_THROW(GuardBandAnalyzer(0.0, 1.0, 1.0, 1.0), obd::Error);
-  EXPECT_THROW(GuardBandAnalyzer(1.0, 1.0, 1.0, 1.0).lifetime_at(0.0),
+  EXPECT_THROW((void)GuardBandAnalyzer(1.0, 1.0, 1.0, 1.0).lifetime_at(0.0),
                obd::Error);
   EXPECT_THROW(
       lifetime_at_failure([](double) { return 0.5; }, 1.5), obd::Error);

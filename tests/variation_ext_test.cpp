@@ -46,7 +46,7 @@ TEST(QuadTree, CanonicalPreservesMarginalVariance) {
 TEST(QuadTree, SampledCorrelationMatchesModel) {
   const VariationBudget budget;
   const GridModel grid(8.0, 8.0, 8);
-  const CanonicalForm cf = make_quadtree_canonical(grid, budget, {.levels = 3});
+  const CanonicalForm cf = make_quadtree_canonical(grid, budget, {.levels = 3, .level_weights = {}});
   stats::Rng rng(5);
   // Two cells in the same level-3 region correlate fully; opposite corners
   // correlate only through the global component.
@@ -69,11 +69,11 @@ TEST(QuadTree, SampledCorrelationMatchesModel) {
   const double rho_af = caf / caa;
   EXPECT_NEAR(rho_ab,
               quadtree_correlation(0.2, 0.2, 0.8, 0.8, 8.0, 8.0, budget,
-                                   {.levels = 3}),
+                                   {.levels = 3, .level_weights = {}}),
               0.02);
   EXPECT_NEAR(rho_af,
               quadtree_correlation(0.2, 0.2, 7.8, 7.8, 8.0, 8.0, budget,
-                                   {.levels = 3}),
+                                   {.levels = 3, .level_weights = {}}),
               0.02);
   EXPECT_GT(rho_ab, rho_af);
   // Opposite corners share only the global 50% of variance.
