@@ -63,7 +63,7 @@ TEST(Blod, SingleGridBlockIsDegenerate) {
   // v collapses to the residual variance lambda_r^2.
   const double sr = f.canonical.residual_sigma();
   EXPECT_NEAR(blod.v_mean(), sr * sr, 1e-15);
-  EXPECT_THROW(blod.v_marginal(), obd::Error);
+  EXPECT_THROW((void)blod.v_marginal(), obd::Error);
   // And any realization agrees.
   stats::Rng rng(3);
   EXPECT_NEAR(blod.v_value(f.canonical.sample_z(rng)), sr * sr, 1e-12);

@@ -64,7 +64,7 @@ TEST(AnalyticModel, BSlopeDecreasesWithTemperatureAndClamps) {
 
 TEST(AnalyticModel, RejectsNonPhysicalInput) {
   const AnalyticReliabilityModel m;
-  EXPECT_THROW(m.alpha(-300.0, 1.2), obd::Error);
+  EXPECT_THROW((void)m.alpha(-300.0, 1.2), obd::Error);
   AnalyticModelParams bad;
   bad.alpha_ref = -1.0;
   EXPECT_THROW(AnalyticReliabilityModel{bad}, obd::Error);

@@ -153,9 +153,9 @@ TEST(ConfigFile, ParsesKeysCommentsOverrides) {
 TEST(ConfigFile, ErrorsOnBadValues) {
   Config cfg;
   cfg.set("x", "abc");
-  EXPECT_THROW(cfg.get_double("x"), Error);
-  EXPECT_THROW(cfg.get_int("x"), Error);
-  EXPECT_THROW(cfg.get_bool("x", true), Error);
+  EXPECT_THROW((void)cfg.get_double("x"), Error);
+  EXPECT_THROW((void)cfg.get_int("x"), Error);
+  EXPECT_THROW((void)cfg.get_bool("x", true), Error);
   EXPECT_THROW(cfg.get_string("missing"), Error);
   std::istringstream bad("keyonly\n");
   EXPECT_THROW(Config::parse(bad), Error);
