@@ -1,17 +1,12 @@
 // Scalar vs AVX2 timings and exactness gates for the dispatched SIMD
-// kernel layer (src/simd). Each section times the scalar reference table
-// against the AVX2 table on the same inputs and checks the contract from
-// simd/kernels.hpp:
-//
-//   fill_bin_factors  bounded relative drift (<= 1e-12 vs scalar)
-//   dot_counts        bit-identical (FNV checksum equality)
-//   normal_cdf_batch  bounded relative error (<= 1e-12 where > 1e-300)
-//   matmul (GEMM)     bit-identical
-//   gram_aat (SYRK)   bit-identical
-//   clenshaw_batch    bit-identical (FNV checksum equality)
-//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect, hybrid_row,
-//   box_muller, quad_form_dots
-//                     bit-identical (FNV checksum equality)
+// kernel layer (src/simd). Each section times the scalar table against
+// the AVX2 table on the same inputs and checks the contract from
+// simd/kernels.hpp: every kernel with an AVX2 instantiation (dot_counts,
+// matmul, gram_aat, clenshaw_batch, tql2_rotate, tred2_symv, tred2_rank2,
+// tred2_reflect, hybrid_row, box_muller, quad_form_dots) must give the
+// scalar table's bits (FNV checksum equality). fill_bin_factors,
+// normal_cdf_batch and matvec have one implementation that both tables
+// serve, so they have no lap.
 //
 // On top of the exactness gates, each lap gates the tier that "auto"
 // dispatch serves for the kernel (simd::kernel_level, the AVX2 table
@@ -68,6 +63,12 @@ struct BitChecksum {
   }
 };
 
+std::uint64_t checksum(const std::vector<double>& v) {
+  BitChecksum cs;
+  for (const double x : v) cs.add(x);
+  return cs.value;
+}
+
 struct Lap {
   double seconds_scalar = 0.0;
   double seconds_avx2 = 0.0;
@@ -110,14 +111,14 @@ void gate_auto(const char* name, Lap& lap, obd::simd::KernelId id,
 
 volatile double g_sink = 0.0;  // keeps the optimizer honest across reps
 
-// One lap: `run(table)` runs one batch of reps from a fixed start state
-// and returns the final state, and `agree(scalar, vector)` is the
-// kernel's contract between the scalar state and the AVX2 tier's. Each
-// available tier runs kRounds batches, interleaved with the other; its
-// time is the fastest batch.
-template <typename Run, typename Agree>
-Lap timed_lap(const char* name, const std::string& shape, const char* gate,
-              Run run, Agree agree, bool avx2) {
+// One lap of a bit-identical kernel: `run(table)` runs one batch of reps
+// from a fixed start state and returns the final state, which the AVX2
+// tier must reproduce bit for bit (checksum equality). Each available
+// tier runs kRounds batches, interleaved with the other; its time is the
+// fastest batch.
+template <typename Run>
+Lap bitwise_lap(const char* name, const std::string& shape, Run run,
+                bool avx2) {
   using obd::simd::KernelTable;
   const KernelTable* tables[] = {&obd::simd::detail::kScalarKernels,
                                  &obd::simd::detail::kAvx2Kernels};
@@ -138,44 +139,12 @@ Lap timed_lap(const char* name, const std::string& shape, const char* gate,
   if (avx2) {
     lap.seconds_avx2 = best[1];
     lap.speedup = lap.seconds_scalar / lap.seconds_avx2;
-    lap.pass = agree(state[0], state[1]);
+    lap.pass = checksum(state[0]) == checksum(state[1]);
   }
-  std::printf("[%s] %s: scalar %.4f s, avx2 %.4f s (%.1fx), %s %s\n", name,
-              shape.c_str(), lap.seconds_scalar, lap.seconds_avx2,
-              lap.speedup, gate, lap.pass ? "PASS" : "FAIL");
+  std::printf("[%s] %s: scalar %.4f s, avx2 %.4f s (%.1fx), bitwise %s\n",
+              name, shape.c_str(), lap.seconds_scalar, lap.seconds_avx2,
+              lap.speedup, lap.pass ? "PASS" : "FAIL");
   return lap;
-}
-
-std::uint64_t checksum(const std::vector<double>& v) {
-  BitChecksum cs;
-  for (const double x : v) cs.add(x);
-  return cs.value;
-}
-
-// A lap of a bit-identical kernel: the AVX2 tier must reproduce the
-// scalar state's bit checksum.
-template <typename Run>
-Lap bitwise_lap(const char* name, const std::string& shape, Run run,
-                bool avx2) {
-  return timed_lap(
-      name, shape, "bitwise", run,
-      [](const std::vector<double>& a, const std::vector<double>& b) {
-        return checksum(a) == checksum(b);
-      },
-      avx2);
-}
-
-// Relative agreement within `tol` wherever the scalar value exceeds
-// `floor` in magnitude.
-auto within(double tol, double floor) {
-  return [tol, floor](const std::vector<double>& a,
-                      const std::vector<double>& b) {
-    for (std::size_t i = 0; i < a.size(); ++i)
-      if (std::abs(a[i]) > floor &&
-          std::abs(b[i] - a[i]) > tol * std::abs(a[i]))
-        return false;
-    return a.size() == b.size();
-  };
 }
 
 }  // namespace
@@ -194,21 +163,6 @@ int main() {
     return std::max<std::size_t>(1, reps * scale / kRounds);
   };
 
-  // ------------------------------------------------- fill_bin_factors ----
-  const std::size_t bins = 512;
-  Lap fill = timed_lap(
-      "fill_bin_factors", std::to_string(bins) + " bins x 20000",
-      "drift gate",
-      [&](const simd::KernelTable& t) {
-        std::vector<double> out(bins);
-        for (std::size_t r = 0; r < batch(20000); ++r) {
-          t.fill_bin_factors(-7.25, 1.8, 0.8 / 512.0, bins, out.data());
-          g_sink = out[0];
-        }
-        return out;
-      },
-      within(1e-12, 0.0), avx2);
-
   // ------------------------------------------------------- dot_counts ----
   const std::size_t dot_n = 4096;
   std::vector<std::uint32_t> counts(dot_n);
@@ -226,23 +180,6 @@ int main() {
         return std::vector<double>{sum};
       },
       avx2);
-
-  // -------------------------------------------------- normal_cdf_batch ----
-  const std::size_t cdf_n = 4096;
-  std::vector<double> z(cdf_n);
-  for (double& x : z) x = -20.0 + 40.0 * rng.uniform();
-  Lap cdf = timed_lap(
-      "normal_cdf_batch", "n=" + std::to_string(cdf_n) + " x 2000",
-      "error gate",
-      [&](const simd::KernelTable& t) {
-        std::vector<double> out(cdf_n);
-        for (std::size_t r = 0; r < batch(2000); ++r) {
-          t.normal_cdf_batch(z.data(), cdf_n, out.data());
-          g_sink = out[0];
-        }
-        return out;
-      },
-      within(1e-12, 1e-300), avx2);
 
   // ------------------------------------------------------ matmul (GEMM) ----
   const std::size_t mm = 96;
@@ -455,9 +392,7 @@ int main() {
   // Per-kernel auto-tier gates against this run's own timings.
   std::printf("\n");
   simd::configure("auto");
-  gate_auto("fill_bin_factors", fill, simd::KernelId::kFillBinFactors, avx2);
   gate_auto("dot_counts", dot, simd::KernelId::kDotCounts, avx2);
-  gate_auto("normal_cdf_batch", cdf, simd::KernelId::kNormalCdfBatch, avx2);
   gate_auto("matmul", gemm, simd::KernelId::kMatmul, avx2);
   gate_auto("gram_aat", gram, simd::KernelId::kGramAat, avx2);
   gate_auto("clenshaw_batch", clen, simd::KernelId::kClenshawBatch, avx2);
@@ -471,8 +406,8 @@ int main() {
 
   bool pass = true;
   for (const Lap* lap :
-       {&fill, &dot, &cdf, &gemm, &gram, &clen, &rotate, &symv, &rank2,
-        &reflect, &hrow, &boxm, &qform})
+       {&dot, &gemm, &gram, &clen, &rotate, &symv, &rank2, &reflect, &hrow,
+        &boxm, &qform})
     pass = pass && lap->pass && lap->auto_pass;
   std::printf("\nexactness + auto-tier gates %s\n", pass ? "PASS" : "FAIL");
 
@@ -496,9 +431,7 @@ int main() {
   out << "{\n"
       << "  \"avx2_available\": " << (avx2 ? "true" : "false") << ",\n"
       << "  \"pass\": " << (pass ? "true" : "false") << ",\n";
-  emit("fill_bin_factors", fill);
   emit("dot_counts", dot);
-  emit("normal_cdf_batch", cdf);
   emit("matmul", gemm);
   emit("gram_aat", gram);
   emit("clenshaw_batch", clen);

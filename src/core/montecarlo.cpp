@@ -318,9 +318,9 @@ void MonteCarloAnalyzer::sample_cell_binned(std::size_t count, double mu,
     cdf_prev = cdf_core;
   }
   // Core bins, one conditional binomial each. The edge CDFs are computed
-  // in small batches through the SIMD layer: at scalar dispatch every
+  // in small batches through the SIMD layer: at every dispatch level each
   // batch element is bit-identical to the lazy per-edge normal_cdf call
-  // this replaces, and the RNG consumption order is unchanged, so scalar
+  // this replaces, and the RNG consumption order is unchanged, so the
   // results match the pre-batch sampler exactly. The tile bounds the
   // wasted lookahead when `remaining` is exhausted before the core ends
   // (cells often hold only a handful of devices).

@@ -44,11 +44,9 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
-  /// y = A * x. Requires x.size() == cols(). Runs on the dispatched SIMD
-  /// matvec kernel: at scalar dispatch each row is the historical
-  /// single-accumulator ascending-index dot (bit-identical to the old
-  /// loop); the AVX2 path uses four accumulator lanes and differs by
-  /// ordinary dot-product rounding (~1e-15 relative).
+  /// y = A * x. Requires x.size() == cols(). Runs the SIMD layer's
+  /// matvec, one implementation at every dispatch level: each row is the
+  /// historical single-accumulator ascending-index dot, bit for bit.
   [[nodiscard]] Vector multiply(const Vector& x) const;
 
   /// Returns A^T.

@@ -4,9 +4,11 @@
 // priority order from: configure() (the `simd` config key), the
 // OBDREL_SIMD environment variable, and CPU auto-detection. "auto" picks
 // AVX2+FMA when it is both compiled in (OBDREL_ENABLE_AVX2, default on)
-// and reported by the CPU; anything else falls back to the scalar
-// reference kernels, which are bit-identical to the loops they replaced.
-// Every level, "auto" included, serves its whole kernel table.
+// and reported by the CPU; anything else falls back to the scalar table.
+// Every kernel gives the same bits at every level (kernels.hpp), so the
+// level changes speed only. Every level, "auto" included, serves its
+// whole kernel table; fill_bin_factors, normal_cdf_batch and matvec are
+// one implementation that both tables hold.
 //
 // Requesting "avx2" explicitly on a host (or build) that cannot run it is
 // a configuration error (ErrorCode::kConfig), mirroring how the CLI
@@ -18,7 +20,7 @@
 namespace obd::simd {
 
 enum class Level {
-  kScalar,  ///< portable reference kernels, baseline ISA
+  kScalar,  ///< one lane per kernel step, baseline ISA
   kAvx2,    ///< AVX2 + FMA kernels (per-file -mavx2 -mfma)
 };
 

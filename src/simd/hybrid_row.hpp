@@ -18,6 +18,8 @@
 // comes back), scale_pow2 (p * 2^n1 * 2^n2 for n1 = n >> 1, n2 = n - n1
 // with n = int(nf)), lt/gt (ordered compares), select (a where the mask
 // is set, else b), any, all, load and store (both unaligned).
+// box_muller.hpp and kernel_bodies.hpp list what more their bodies use;
+// all of them are instantiated from the same two policies.
 #pragma once
 
 #include <cstddef>

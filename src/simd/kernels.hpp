@@ -2,73 +2,48 @@
 //
 // Each entry is one of the straight-line inner loops that dominate
 // end-to-end runtime now that the algorithmic fast paths are in place
-// (see docs/PERFORMANCE.md, "SIMD kernels"). Two implementations exist:
-// a scalar reference (`kernels_scalar.cpp`, compiled at the baseline ISA)
-// and an AVX2+FMA variant (`kernels_avx2.cpp`, compiled per-file with
-// -mavx2 -mfma). Most scalar kernels are bit-identical to the loops they
-// replaced; three are not: hybrid_row and box_muller traded libm's
-// exp/expm1 and log/sin/cos for portable ones, and quad_form_dots sums in
-// four lanes where st_MC's sample loop ran three single-chain dots.
-// Dispatch between the tables (auto | avx2 | scalar) is a process-wide
-// runtime decision — see dispatch.hpp.
+// (see docs/PERFORMANCE.md, "SIMD kernels"). Two tables exist: a scalar
+// one (`kernels_scalar.cpp`, compiled at the baseline ISA) and an
+// AVX2+FMA one (`kernels_avx2.cpp`, compiled per-file with -mavx2 -mfma).
+// Eleven kernels are written once, as templates on an Ops policy that each
+// table instantiates at its own width (kernel_bodies.hpp, hybrid_row.hpp,
+// box_muller.hpp); fill_bin_factors, normal_cdf_batch and matvec have one
+// implementation that both tables serve. The scalar table is the
+// historical arithmetic bit for bit except in three kernels: hybrid_row
+// and box_muller traded libm's exp/expm1 and log/sin/cos for portable
+// ones, and quad_form_dots sums in four lanes where st_MC's sample loop
+// ran three single-chain dots. Dispatch between the tables
+// (auto | avx2 | scalar) is a process-wide runtime decision — see
+// dispatch.hpp.
 //
 // Exactness contracts (what callers may rely on, per kernel):
-//   fill_bin_factors  scalar: bit-identical to the historical loop.
-//                     avx2: same exact-exp re-anchor every
-//                     kReanchorInterval bins; between anchors the vector
-//                     recurrence steps by ratio^8 per chain, so values
-//                     drift from the scalar recurrence by a bounded ~1e-13
-//                     relative amount (fewer roundings than scalar, not
-//                     more).
-//   dot_counts        bit-identical across ALL levels: every variant uses
-//                     the same four fixed accumulator lanes (lane l sums
-//                     elements 4j+l in ascending j, product rounded before
-//                     the add — no FMA), the same scalar tail into lane 0,
-//                     and the same final combine (a0 + a2) + (a1 + a3).
-//   normal_cdf_batch  scalar: bit-identical to stats::normal_cdf per
-//                     element. avx2: polynomial erfc, relative
-//                     error <= ~1e-12 wherever |result| > 1e-300; exactly
-//                     0/1 outside |z| ~ 39.6 (the scalar path underflows
-//                     over the same region).
-//   matmul            bit-identical across ALL levels AND to the
-//                     historical naive ikj loop: per output element the
-//                     contributions accumulate onto out's entry value
-//                     (out += a*b, not out = a*b) in ascending k with the
-//                     same round(product)-then-add sequence and the same
-//                     a == 0.0 skip; k-tiling and column vectorization
-//                     (4-wide) only reorder independent
-//                     elements.
-//   gram_aat          bit-identical across ALL levels and to the
-//                     historical triangle loop (same ascending-index
-//                     single-chain dot per entry, mirrored).
-//   matvec            scalar: bit-identical to the historical loop (one
-//                     accumulator per row). avx2: four accumulator
-//                     lanes per row — differs from scalar by normal
-//                     dot-product rounding (~1e-15 relative); no caller
-//                     pins matvec bits.
-//   clenshaw_batch    bit-identical across ALL levels: every pencil runs
-//                     the identical per-step operation sequence
-//                     s = round((2u)*b1); q = round(s - b2);
-//                     b = round(c_k + q) for k = n-1 .. 1, then
-//                     out = c_0 + round(round(u*b1) - b2) — separate
-//                     mul/sub/add, never FMA. The AVX2 variant maps
-//                     SIMD lanes to independent pencils (4-wide)
-//                     and the scalar tail repeats the same sequence, so
-//                     lane width never changes any rounding. The
-//                     surrogate layer's certified envelopes rely on this.
-//   tql2_rotate,      bit-identical across ALL levels AND to the EISPACK
-//   tred2_symv,       tred2/tql2 loops of la::eigen_symmetric they
-//   tred2_rank2,      replaced: every element sees the same separate
-//   tred2_reflect     mul/add/sub (never FMA) in the same order. Vector
-//                     lanes only ever hold independent elements or
-//                     independent dot chains: tql2_rotate, tred2_rank2 and
-//                     the update half of tred2_reflect run 4-wide along a
-//                     row; the dots of tred2_symv (4 rows) and
-//                     tred2_reflect (8 rows) put one row per lane behind a
-//                     4x4 transpose of the products, so each dot still
-//                     sums in ascending index from 0.0; tred2_symv's
-//                     e[j] += terms come in ascending row order, and its
-//                     4x4 diagonal corner runs in scalar order.
+//   dot_counts, quad_form_dots, matmul, gram_aat, clenshaw_batch,
+//   tql2_rotate, tred2_symv, tred2_rank2, tred2_reflect
+//                     bit-identical across ALL levels by construction:
+//                     one body each in kernel_bodies.hpp, in which a lane
+//                     only holds an independent element, dot chain or
+//                     pencil and every product is rounded before its add
+//                     or sub (never FMA), so each value sees the same
+//                     operation sequence at any width. Each is also the
+//                     historical loop bit for bit except quad_form_dots:
+//                     dot_counts sums in four fixed lanes (lane l takes
+//                     elements 4j+l in ascending j, the tail goes into
+//                     lane 0, combined as (a0 + a2) + (a1 + a3)); matmul
+//                     adds round(a*b) onto out's entry value in ascending
+//                     k with the a == 0.0 skip; gram_aat is the ascending
+//                     single-chain dot per upper-triangle entry, mirrored;
+//                     clenshaw_batch runs s = round((2u)*b1);
+//                     q = round(s - b2); b = round(c_k + q) for
+//                     k = n-1 .. 1, then out = c_0 + round(round(u*b1) -
+//                     b2) per pencil (the surrogate layer's certified
+//                     envelopes rely on this); the tred2/tql2 kernels are
+//                     the EISPACK loops of la::eigen_symmetric they
+//                     replaced, every dot summing in ascending index from
+//                     0.0.
+//   fill_bin_factors  single implementation: the historical loop.
+//   normal_cdf_batch  single implementation: stats::normal_cdf per element.
+//   matvec            single implementation: the historical loop (one
+//                     accumulator per row).
 //   hybrid_row        bit-identical across ALL levels and both scalar
 //                     builds: one lane is one table entry b_e = b_lo +
 //                     e*d_b, summing its nu*nv tensor-product nodes, node
@@ -118,13 +93,10 @@
 //                     sqrt(-2 log u1) * cos/sin((2 pi) * u2) on the same
 //                     uniforms, +0 and -0 counted equal
 //                     (tests/simd_test.cpp).
-//   quad_form_dots    bit-identical across ALL levels: the three sums
-//                     alpha.y, beta.y and sum (lambda_i*y_i)*y_i each
-//                     follow dot_counts' lane structure (lane l sums
-//                     elements 4j+l in ascending j, every product rounded
-//                     before the add, no FMA; the scalar tail into lane
-//                     0; combined as (a0 + a2) + (a1 + a3)), so it needs
-//                     no FMA build and runs as fast on hosts without FMA.
+//   quad_form_dots    (above) not the historical arithmetic: the three
+//                     sums alpha.y, beta.y and sum (lambda_i*y_i)*y_i each
+//                     follow dot_counts' lane structure, so it needs no
+//                     FMA build and runs as fast on hosts without FMA.
 //                     NaN and inf entries propagate as in any IEEE sum
 //                     (which NaN comes out is not fixed). Error budget:
 //                     each sum within (n/4 + 6) * 2^-53 * sum |terms| of
@@ -242,6 +214,13 @@ const KernelTable& kernels();
 
 namespace detail {
 extern const KernelTable kScalarKernels;
+// The one implementation of each of these three, compiled at the baseline
+// ISA; both tables serve it.
+void fill_bin_factors(double gb, double x_lo, double step, std::size_t bins,
+                      double* out);
+void normal_cdf_batch(const double* z, std::size_t n, double* out);
+void matvec(const double* a, const double* x, double* y, std::size_t rows,
+            std::size_t cols);
 // The scalar table's hybrid_row and box_muller each run one template body
 // in two builds: at the baseline ISA, where std::fma and std::nearbyint
 // are libm calls, and with FMA and SSE4.1 enabled, where they are single

@@ -25,11 +25,10 @@ double normal_cdf(double x);
 double normal_pdf(double x);
 
 /// Batched standard normal CDF: out[i] = Phi(z[i]) for i in [0, n);
-/// in-place operation (out == z) is allowed. Dispatches to the active
-/// SIMD kernel: at scalar dispatch every element is bit-identical to
-/// normal_cdf(); the AVX2 path agrees to <= 1e-12 relative wherever
-/// |result| > 1e-300 and returns exactly 0/1 where the scalar path
-/// underflows (see docs/PERFORMANCE.md, "SIMD kernels").
+/// in-place operation (out == z) is allowed. Runs the SIMD layer's
+/// normal_cdf_batch, one implementation at every dispatch level: every
+/// element is bit-identical to normal_cdf() (see docs/PERFORMANCE.md,
+/// "SIMD kernels").
 void normal_cdf_batch(const double* z, std::size_t n, double* out);
 
 /// Inverse standard normal CDF (probit). Domain: p in (0, 1).

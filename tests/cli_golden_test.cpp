@@ -6,10 +6,10 @@
 // disk-cache file names. Any change to the config -> problem chain or to
 // the problem keys that moves one byte of these fails here.
 //
-// Both configs set `simd scalar`: the binned-MC kernels are ULP-bounded
-// across SIMD tiers (docs/PERFORMANCE.md), so only the scalar tier gives
-// digests that hold on every host and under a forced OBDREL_SIMD. Runs the
-// real binary (path baked in as OBDREL_CLI_PATH).
+// Both configs set `simd scalar`, so the digests pin the scalar table on
+// every host and under any OBDREL_SIMD; every kernel gives the same bits
+// at every level (docs/PERFORMANCE.md, "SIMD kernels"). Runs the real
+// binary (path baked in as OBDREL_CLI_PATH).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>

@@ -264,9 +264,9 @@ TEST_F(FastPathMcFixture, BatchedSweepIsBitIdenticalToScalarCalls) {
 // streaming range partials over two adjacent ranges. Both samplers, with
 // and without aging mechanisms, at the default histogram range and at a
 // narrow one whose under/overflow populations are nonzero (evaluated at
-// the boundary factors). fill_bin_factors and normal_cdf_batch
-// differ in their last bits between SIMD tiers, so each tier keeps its
-// own digests; every digest must hold at 1 and 3 pool threads.
+// the boundary factors). Every kernel these queries run is one
+// implementation or bit-identical across SIMD tiers, so one row of digests
+// holds at every level and at 1 and 3 pool threads.
 TEST(McGolden, QueryDigestsPerSimdLevelAndThreadCount) {
   struct Restore {
     simd::Level saved = simd::active_level();
@@ -287,23 +287,13 @@ TEST(McGolden, QueryDigestsPerSimdLevelAndThreadCount) {
   for (int i = 0; i < 9; ++i)
     ts.push_back(0.5 * kYear * std::pow(100.0, i / 8.0));
 
-  const struct {
-    simd::Level level;
-    // [stack][sampler][range]: {oxide, oxide+nbti+em} x {per-device,
-    // binned} x {7 sigma (default), 2.5 sigma}.
-    std::uint64_t digests[2][2][2];
-  } levels[] = {
-      {simd::Level::kScalar,
-       {{{0xb8a1674d489eaa5eull, 0x4b8947bed0920710ull},
-         {0x6e56880709fcdb59ull, 0x133bc665edae5011ull}},
-        {{0x890dde2a79de85bbull, 0x524a56e3c61a92a5ull},
-         {0xacc28c2cb4146750ull, 0xfcb50143525d0735ull}}}},
-      {simd::Level::kAvx2,
-       {{{0xcde906ce8eca5422ull, 0x31d382b185aa02c8ull},
-         {0xe96116054fe8069eull, 0xede3b38483b13359ull}},
-        {{0x07c5ae80f1b37ac4ull, 0x72024461a7acf3d6ull},
-         {0x03ac39acbd39d97cull, 0x029f5b750a927ad1ull}}}},
-  };
+  // [stack][sampler][range]: {oxide, oxide+nbti+em} x {per-device,
+  // binned} x {7 sigma (default), 2.5 sigma}.
+  const std::uint64_t digests[2][2][2] = {
+      {{0xb8a1674d489eaa5eull, 0x4b8947bed0920710ull},
+       {0x6e56880709fcdb59ull, 0x133bc665edae5011ull}},
+      {{0x890dde2a79de85bbull, 0x524a56e3c61a92a5ull},
+       {0xacc28c2cb4146750ull, 0xfcb50143525d0735ull}}};
   const auto digest = [&ts](const core::ReliabilityProblem& problem,
                             const core::MonteCarloOptions& mc_opts) {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -343,9 +333,9 @@ TEST(McGolden, QueryDigestsPerSimdLevelAndThreadCount) {
     return h;
   };
 
-  for (const auto& lv : levels) {
-    if (lv.level == simd::Level::kAvx2 && !simd::can_use_avx2()) continue;
-    simd::set_level(lv.level);
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    if (level == simd::Level::kAvx2 && !simd::can_use_avx2()) continue;
+    simd::set_level(level);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
       par::set_threads(threads);
       for (const int aging : {0, 1}) {
@@ -364,8 +354,8 @@ TEST(McGolden, QueryDigestsPerSimdLevelAndThreadCount) {
                 .sampling = sampler == 0 ? core::DeviceSampling::kPerDevice
                                          : core::DeviceSampling::kBinned};
             const std::uint64_t h = digest(problem, mc_opts);
-            EXPECT_EQ(h, lv.digests[aging][sampler][range])
-                << simd::to_string(lv.level) << ", " << threads
+            EXPECT_EQ(h, digests[aging][sampler][range])
+                << simd::to_string(level) << ", " << threads
                 << " threads, aging " << aging << ", sampler " << sampler
                 << ", range " << range << std::hex << ": got 0x" << h;
           }
